@@ -136,16 +136,6 @@ let max_dist rules =
          rules.Tech.Rules.space_poly_diffusion ])
     rules.Tech.Rules.pair_spaces
 
-(* Minimum gap between two packed rect sets under the metric, via the
-   {!Geom.Rects} kernel (sweep in production, the naive oracle under
-   DIC_NAIVE_KERNEL).  [cutoff2] bounds the search: pairs farther apart
-   than the caller cares about are pruned early, and both kernels
-   report the same canonical closest pair for error localisation. *)
-let gap2_of cfg ~cutoff2 ws a b =
-  Geom.Rects.gap2
-    ~euclid:(cfg.metric = Geom.Measure.Euclidean)
-    ~cutoff2 ws a b
-
 (* ------------------------------------------------------------------ *)
 (* Frontier collection                                                 *)
 
@@ -367,7 +357,11 @@ let candidates cfg env dmax (memo : (memo_key, cand list) Hashtbl.t) stats ws sa
                       None
                     end
                     else
-                      let g = gap2_of cfg ~cutoff2:(dmax * dmax) ws a.s_rects b.s_rects in
+                      let g =
+                        Geom.Rects.gap2
+                          ~euclid:(cfg.metric = Geom.Measure.Euclidean)
+                          ~cutoff2:(dmax * dmax) ws a.s_rects b.s_rects
+                      in
                       if g.Geom.Rects.ai >= 0 then
                         Some
                           { k_a = (a.s_path, a.s_eid);
@@ -591,7 +585,11 @@ let judge_pair cfg env sid dctx a b =
             | Geometric -> req * req
             | Exposure _ -> max_int
           in
-          let g = gap2_of cfg ~cutoff2 dctx.d_ws a.s_rects b.s_rects in
+          let g =
+            Geom.Rects.gap2
+              ~euclid:(cfg.metric = Geom.Measure.Euclidean)
+              ~cutoff2 dctx.d_ws a.s_rects b.s_rects
+          in
           let gap2 = g.Geom.Rects.g2 in
           if gap2 = 0 then
             if same_net then Skip

@@ -29,10 +29,14 @@ let quote s =
   Buffer.add_char buf '"';
   Buffer.contents buf
 
+(* Integers print without a decimal point; other numbers in the
+   shortest [%g] precision that parses back to the same float. *)
 let number_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+  else
+    let s15 = Printf.sprintf "%.15g" f in
+    if Float.equal (float_of_string s15) f then s15 else Printf.sprintf "%.17g" f
 
 let to_string v =
   let buf = Buffer.create 256 in

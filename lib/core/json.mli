@@ -10,7 +10,8 @@
     escapes including [\uXXXX], numbers, booleans, null) and rejects
     trailing garbage.  The printer is canonical for a given value: no
     whitespace, object members in the order given, integers printed
-    without a decimal point. *)
+    without a decimal point, other numbers with 15 significant digits
+    when that parses back to the same float (17 otherwise). *)
 
 type t =
   | Null

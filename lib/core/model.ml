@@ -193,14 +193,20 @@ let elaborate rules (file : Cif.Ast.file) =
                  (Printf.sprintf "unknown device type %s" tag));
             None)
       in
+      (* [eid] numbers the surviving elements, not CIF positions: it is
+         a dense index that later stages size arrays by. *)
+      let next_eid = ref 0 in
       let elements =
-        List.mapi (fun i e -> (i, e)) elements
-        |> List.filter_map (fun (i, e) ->
-               match elaborate_element rules ~context i e with
-               | Ok el -> Some el
-               | Error v ->
-                 note v;
-                 None)
+        List.filter_map
+          (fun e ->
+            match elaborate_element rules ~context !next_eid e with
+            | Ok el ->
+              incr next_eid;
+              Some el
+            | Error v ->
+              note v;
+              None)
+          elements
       in
       if device <> None && calls <> [] then
         note

@@ -782,6 +782,40 @@ let test_deep_hierarchy () =
     (Dic.Report.count ~severity:Dic.Report.Error result.Dic.Engine.report);
   Alcotest.(check int) "depth 11" 11 (Dic.Model.depth result.Dic.Engine.model)
 
+(* Regression: one diagonal wire segment in the 4-bit shift register's
+   pass transistors used to crash net construction with "index out of
+   bounds" (dicheck exit 2): element ids counted the dropped invalid
+   wires, so they overflowed the per-symbol arrays sized by the
+   survivors.  Both wires must instead be reported, located. *)
+let test_invalid_wire_dense_eids () =
+  let cif =
+    Cif.Print.to_string (Layoutgen.Shift.register ~lambda 4)
+    |> String.split_on_char '\n'
+    |> List.map (function
+         | "L NP; W 200 1300 800 1800 800;" -> "L NP; W 200 1300 80 1800 800;"
+         | line -> line)
+    |> String.concat "\n"
+  in
+  let file = parse cif in
+  let m, _ = elaborate_ok file in
+  List.iter
+    (fun (s : Dic.Model.symbol) ->
+      Alcotest.(check (list int))
+        (s.Dic.Model.sname ^ ": dense element ids")
+        (List.init (List.length s.Dic.Model.elements) Fun.id)
+        (List.map (fun (e : Dic.Model.element) -> e.Dic.Model.eid) s.Dic.Model.elements))
+    m.Dic.Model.symbols;
+  let located =
+    List.filter_map
+      (fun (v : Dic.Report.violation) ->
+        if v.Dic.Report.rule = "wire.invalid" then
+          Option.map Cif.Loc.to_string v.Dic.Report.loc
+        else None)
+      (errors_of (run_ok file))
+  in
+  Alcotest.(check (list string)) "both wires reported, located" [ "64:7"; "75:7" ]
+    (List.sort compare located)
+
 (* ------------------------------------------------------------------ *)
 (* Structure report                                                    *)
 
@@ -1049,7 +1083,9 @@ let () =
         [ Alcotest.test_case "empty design" `Quick test_empty_design;
           Alcotest.test_case "uncalled symbols checked" `Quick
             test_uncalled_symbols_still_checked;
-          Alcotest.test_case "deep hierarchy" `Quick test_deep_hierarchy ] );
+          Alcotest.test_case "deep hierarchy" `Quick test_deep_hierarchy;
+          Alcotest.test_case "dense eids past bad wire" `Quick
+            test_invalid_wire_dense_eids ] );
       ( "structure",
         [ Alcotest.test_case "grid-blocks stats" `Quick test_structure_grid_blocks;
           Alcotest.test_case "shared symbol multiplicity" `Quick

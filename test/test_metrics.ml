@@ -308,6 +308,27 @@ let test_stats_merge_totals () =
   Alcotest.(check (list (pair (pair int int) (pair int int))))
     "cell totals invariant" (totals serial) (totals parallel)
 
+(* Every enumerated interaction pair ends in exactly one outcome: it
+   is judged against a rule, or skipped for having no rule, for being
+   on one net, or for being inside one device.  Must hold whatever the
+   domain count and whether or not immunity certificates prune work. *)
+let test_interaction_counters_reconcile () =
+  let file = Layoutgen.Pla.tier ~lambda ~rows:32 ~cols:64 in
+  let saved = Dic.Deckcheck.enabled () in
+  Fun.protect ~finally:(fun () -> Dic.Deckcheck.set_enabled saved) (fun () ->
+      List.iter
+        (fun (jobs, certs) ->
+          Dic.Deckcheck.set_enabled certs;
+          let m = (run_ok ~config:(with_jobs jobs) file).Dic.Engine.metrics in
+          let c name = Dic.Metrics.counter m ("interactions." ^ name) in
+          let label = Printf.sprintf "jobs=%d certs=%b" jobs certs in
+          Alcotest.(check bool) (label ^ ": pairs enumerated") true (c "pairs" > 0);
+          Alcotest.(check int)
+            (label ^ ": pairs = checked + skipped_no_rule + skipped_same_net + skipped_device")
+            (c "pairs")
+            (c "checked" + c "skipped_no_rule" + c "skipped_same_net" + c "skipped_device"))
+        [ (1, true); (2, true); (1, false); (2, false) ])
+
 let () =
   Alcotest.run "metrics"
     [ ("json",
@@ -327,4 +348,6 @@ let () =
       ("parallel",
        [ Alcotest.test_case "deterministic" `Quick test_jobs_deterministic;
          Alcotest.test_case "auto jobs" `Quick test_jobs_auto;
-         Alcotest.test_case "stats totals" `Quick test_stats_merge_totals ]) ]
+         Alcotest.test_case "stats totals" `Quick test_stats_merge_totals;
+         Alcotest.test_case "interaction pairs reconcile" `Quick
+           test_interaction_counters_reconcile ]) ]
