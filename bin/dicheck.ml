@@ -634,8 +634,9 @@ let check_term =
   let jobs =
     Arg.(value & opt int 0
          & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Domains for the interaction stage: 1 = serial, N > 1 fans the \
-                   instance-pair worklist over N domains, 0 (default) asks the \
+             ~doc:"Domains for the element, device and interaction sweeps, which \
+                   all run on one scheduler: N fans their worklists over up to N \
+                   domains (1 = the calling domain only), 0 (default) asks the \
                    runtime for the recommended count.  The report is identical \
                    for every N.")
   in

@@ -281,19 +281,6 @@ let slot_for t rules =
 (* ------------------------------------------------------------------ *)
 (* Checking                                                            *)
 
-(* One per symbol occurrence in the model, per deck environment: either
-   the cached entry to replay, or the freshly computed pieces
-   accumulated stage by stage so they can be stored as one entry
-   afterwards. *)
-type slot = {
-  sl_sym : Model.symbol;
-  sl_fp : string;
-  sl_hit : Cache.def_entry option;
-  mutable sl_el : Report.violation list;
-  mutable sl_dv : Report.violation list;
-  mutable sl_rel : Report.violation list;
-}
-
 (* Invalidate memoised instance pairs whose definition subtree changed
    since the previous check, then pull in any surviving entries from
    the on-disk memo (remapping its content-addressed keys to this
@@ -386,6 +373,181 @@ let distinct_slots slots_by_deck =
     (List.fold_left
        (fun acc s -> if List.memq s acc then acc else s :: acc)
        [] slots_by_deck)
+
+(* ------------------------------------------------------------------ *)
+(* The per-definition layer                                            *)
+
+(* One per symbol occurrence in the model, per deck environment.  A
+   cached definition arrives with its three lists replayed from the
+   entry; a fresh one has them filled stage by stage by
+   [sweep_definitions] and stored as one entry by [store_definitions]. *)
+type slot = {
+  sl_sym : Model.symbol;
+  sl_fp : string;
+  sl_fresh : bool;
+  mutable sl_el : Report.violation list;
+  mutable sl_dv : Report.violation list;
+  mutable sl_rel : Report.violation list;
+}
+
+(* One deck's resolution of every definition against the caches. *)
+type lookup = {
+  lk_deck : deck;
+  lk_env : string;
+  lk_slots : slot list;  (** in definition order *)
+  lk_reused : int;  (** slots answered by the session or disk cache *)
+  lk_from_disk : int;  (** of those, slots read from disk *)
+}
+
+(* Resolve every definition against each deck's session (then disk)
+   cache before the sweeps start, so each stage just replays or
+   computes, and count the outcome under [cache.*]. *)
+let lookup_definitions t m trace fps =
+  let lookups =
+    Trace.with_span trace ~cat:"cache" "defs-lookup" (fun () ->
+        List.map
+          (fun d ->
+            let env = env_key d.dk_rules t.e_config in
+            let defs = defs_for t env in
+            let from_disk = ref 0 and reused = ref 0 in
+            let slot ((s : Model.symbol), fp) =
+              let hit =
+                match Hashtbl.find_opt defs fp with
+                | Some e -> Some e
+                | None -> (
+                  match Option.bind t.e_cache (fun cache -> Cache.find_def cache ~env ~fp) with
+                  | Some e ->
+                    incr from_disk;
+                    Hashtbl.replace defs fp e;
+                    Some e
+                  | None -> None)
+              in
+              match hit with
+              | Some e ->
+                incr reused;
+                { sl_sym = s; sl_fp = fp; sl_fresh = false; sl_el = e.Cache.de_elements;
+                  sl_dv = e.Cache.de_devices; sl_rel = e.Cache.de_relational }
+              | None ->
+                { sl_sym = s; sl_fp = fp; sl_fresh = true; sl_el = []; sl_dv = []; sl_rel = [] }
+            in
+            let slots = List.map slot fps in
+            { lk_deck = d; lk_env = env; lk_slots = slots; lk_reused = !reused;
+              lk_from_disk = !from_disk })
+          t.e_decks)
+  in
+  let total = List.length fps * List.length lookups in
+  let reused = List.fold_left (fun acc lk -> acc + lk.lk_reused) 0 lookups in
+  Metrics.incr ~by:total m "cache.symbols_total";
+  Metrics.incr ~by:reused m "cache.symbols_reused";
+  Metrics.incr ~by:(List.fold_left (fun acc lk -> acc + lk.lk_from_disk) 0 lookups) m
+    "cache.defs_from_disk";
+  Metrics.incr ~by:(total - reused) m "cache.defs_computed";
+  if total > 0 then
+    Metrics.set_gauge m "cache.hit_ratio" (float_of_int reused /. float_of_int total);
+  lookups
+
+(* The per-definition stages of Fig 10.  [Elements] carries the
+   certificate lookup by symbol id when certificates are on. *)
+type def_stage =
+  | Elements of (int -> Deckcheck.cert option) option
+  | Devices
+  | Relational of Process_model.Exposure.t
+
+let def_stage_name = function
+  | Elements _ -> "elements"
+  | Devices -> "devices"
+  | Relational _ -> "devices-relational"
+
+(* One per-definition stage over every deck's fresh slots.  Each fresh
+   slot is one independent (deck rules × definition) task, so the
+   worklist — every deck's fresh slots in deck-major definition order —
+   runs on the same cost-balanced scheduler as the interaction sweep.
+   Workers store each result into its slot under a ["symbol"] span and
+   a [symbol.<name>] cost charge, into per-domain buffers merged in tid
+   order; the caller reads the slots back in definition order, so the
+   report bytes are the same at every [jobs] value.
+
+   A certificate can prove the element stage silent for a definition
+   under a deck; the slot then keeps its empty list without computing.
+   Sound for the cache too: the stored [] equals what the check would
+   have produced. *)
+let sweep_definitions m trace ~jobs lookups stage =
+  let name = def_stage_name stage in
+  let fresh =
+    Array.of_list
+      (List.concat_map
+         (fun lk ->
+           List.filter_map
+             (fun sl -> if sl.sl_fresh then Some (lk.lk_deck.dk_rules, sl) else None)
+             lk.lk_slots)
+         lookups)
+  in
+  let immune rules sl =
+    match stage with
+    | Elements (Some cert_of) -> (
+      match cert_of sl.sl_sym.Model.sid with
+      | Some c -> Deckcheck.element_immune rules c
+      | None -> false)
+    | _ -> false
+  in
+  let compute rules sl =
+    match stage with
+    | Elements _ -> sl.sl_el <- Element_checks.check_symbol rules sl.sl_sym
+    | Devices -> sl.sl_dv <- Devices.check_symbol rules sl.sl_sym
+    | Relational exposure -> sl.sl_rel <- Devices.check_relational exposure rules sl.sl_sym
+  in
+  let skips =
+    Parallel.run ~metrics:m ?trace ~jobs ~stage:name
+      ~weight:(fun i -> 1 + List.length (snd fresh.(i)).sl_sym.Model.elements)
+      ~n:(Array.length fresh) ~worker:ignore
+      ~chunk:(fun () dm dt ~lo ~hi ->
+        let skips = ref 0 in
+        for i = lo to hi - 1 do
+          let rules, sl = fresh.(i) in
+          let sname = sl.sl_sym.Model.sname in
+          Trace.with_span dt ~cat:"symbol" ~args:[ ("stage", name) ] sname (fun () ->
+              let t0 = Metrics.now_ns () in
+              if immune rules sl then incr skips else compute rules sl;
+              Option.iter
+                (fun dm ->
+                  Metrics.add_cost_ns dm ("symbol." ^ sname) (Int64.sub (Metrics.now_ns ()) t0))
+                dm)
+        done;
+        !skips)
+      ~merge:ignore ()
+  in
+  match stage with
+  | Elements (Some _) ->
+    let skips = List.fold_left ( + ) 0 skips in
+    Metrics.incr ~by:skips m "analysis.certified_element_skips";
+    Metrics.incr ~by:skips m "analysis.certified_skips"
+  | _ -> ()
+
+(* Freshly computed definitions become cache entries (session + disk),
+   under their deck's environment.  When [relational] is off the stored
+   list is empty, which is sound: the environment digest separates the
+   two configs. *)
+let store_definitions t trace lookups =
+  Trace.with_span trace ~cat:"cache" "defs-save" (fun () ->
+      List.iter
+        (fun lk ->
+          let defs = defs_for t lk.lk_env in
+          let stored = Hashtbl.create 16 in
+          List.iter
+            (fun sl ->
+              if sl.sl_fresh && not (Hashtbl.mem stored sl.sl_fp) then begin
+                Hashtbl.replace stored sl.sl_fp ();
+                let entry =
+                  { Cache.de_elements = sl.sl_el; de_devices = sl.sl_dv;
+                    de_relational = sl.sl_rel }
+                in
+                Hashtbl.replace defs sl.sl_fp entry;
+                Option.iter
+                  (fun cache -> Cache.store_def cache ~env:lk.lk_env ~fp:sl.sl_fp entry)
+                  t.e_cache
+              end)
+            lk.lk_slots)
+        lookups)
 
 let check ?metrics ?trace ?progress t file =
   let m = match metrics with Some m -> m | None -> Metrics.create () in
@@ -534,242 +696,16 @@ let check ?metrics ?trace ?progress t file =
           end)
         slots_by_deck_memo
     in
-    (* Resolve every definition against each deck's session (then disk)
-       cache before the sweeps start, so each stage below just replays
-       or computes. *)
-    let env_by_deck = List.map (fun d -> env_key d.dk_rules t.e_config) decks in
-    let lookups =
-      Trace.with_span trace ~cat:"cache" "defs-lookup" (fun () ->
-          List.map
-            (fun env_d ->
-              let defs = defs_for t env_d in
-              let defs_from_disk = ref 0 and reused = ref 0 in
-              let slots =
-                List.map
-                  (fun ((s : Model.symbol), fp) ->
-                    let hit =
-                      match Hashtbl.find_opt defs fp with
-                      | Some e -> Some e
-                      | None -> (
-                        match t.e_cache with
-                        | None -> None
-                        | Some cache -> (
-                          match Cache.find_def cache ~env:env_d ~fp with
-                          | Some e ->
-                            incr defs_from_disk;
-                            Hashtbl.replace defs fp e;
-                            Some e
-                          | None -> None))
-                    in
-                    if Option.is_some hit then incr reused;
-                    { sl_sym = s; sl_fp = fp; sl_hit = hit; sl_el = []; sl_dv = [];
-                      sl_rel = [] })
-                  fps
-              in
-              (slots, !reused, !defs_from_disk))
-            env_by_deck)
-    in
-    (* Per-definition sweep: replayed slots contribute their cached
-       list in place, computed slots get the ["symbol"] span and
-       [symbol.<name>] cost charge — so a cold single-deck engine's
-       trace and metrics are unchanged, and the report ordering (all
-       elements, then all devices, …) is the same either way. *)
-    let per_symbol slots stage compute replay =
-      List.concat_map
-        (fun sl ->
-          match sl.sl_hit with
-          | Some e -> replay e
-          | None ->
-            Trace.with_span trace ~cat:"symbol" ~args:[ ("stage", stage) ]
-              sl.sl_sym.Model.sname (fun () ->
-                let t0 = Metrics.now_ns () in
-                let vs = compute sl in
-                Metrics.add_cost_ns m ("symbol." ^ sl.sl_sym.Model.sname)
-                  (Int64.sub (Metrics.now_ns ()) t0);
-                vs))
-        slots
-    in
-    (* The per-definition sweeps are embarrassingly parallel — each
-       fresh slot is one independent (deck rules × definition) task —
-       so they run on the same cost-balanced scheduler as the
-       interaction sweep.  The worklist flattens every deck's fresh
-       slots in deck-major definition order (the serial visit order);
-       workers store each result into its slot and emit the same
-       ["symbol"] spans and [symbol.<name>] cost charges as the serial
-       path, into per-domain buffers that merge in tid order.  The
-       caller then assembles each deck's violations in definition order
-       from the slots, so the report bytes match the serial path at
-       every [jobs] value. *)
-    let stage_jobs =
-      Interactions.effective_jobs t.e_config.interactions.Interactions.jobs
-    in
-    let fresh_work =
-      Array.of_list
-        (List.concat
-           (List.map2
-              (fun d (slots, _, _) ->
-                List.filter_map
-                  (fun sl -> if Option.is_none sl.sl_hit then Some (d, sl) else None)
-                  slots)
-              decks lookups))
-    in
-    let stage_parallel = stage_jobs > 1 && Array.length fresh_work > 1 in
-    let per_symbol_parallel stage compute =
-      ignore
-        (Parallel.run ~metrics:m ?trace ~jobs:stage_jobs ~stage
-           ~weight:(fun i ->
-             let _, sl = fresh_work.(i) in
-             1 + List.length sl.sl_sym.Model.elements)
-           ~n:(Array.length fresh_work)
-           ~worker:(fun _tid -> ())
-           ~chunk:(fun () dm dt ~lo ~hi ->
-             for i = lo to hi - 1 do
-               let d, sl = fresh_work.(i) in
-               Trace.with_span dt ~cat:"symbol" ~args:[ ("stage", stage) ]
-                 sl.sl_sym.Model.sname (fun () ->
-                   let t0 = Metrics.now_ns () in
-                   compute d sl;
-                   Option.iter
-                     (fun dm ->
-                       Metrics.add_cost_ns dm ("symbol." ^ sl.sl_sym.Model.sname)
-                         (Int64.sub (Metrics.now_ns ()) t0))
-                     dm)
-             done)
-           ~merge:(fun () -> ())
-           ())
-    in
-    let assemble fresh_of replay =
-      List.map
-        (fun (slots, _, _) ->
-          List.concat_map
-            (fun sl -> match sl.sl_hit with Some e -> replay e | None -> fresh_of sl)
-            slots)
-        lookups
-    in
-    (* A certificate can prove the element stage silent for a
-       definition under a deck; the slot then keeps its empty list
-       without computing.  Sound for the cache too: the stored []
-       equals what the check would have produced.  The predicate is
-       pure, so the parallel path consults it from workers and the
-       serial skip counting below re-evaluates it race-free. *)
-    let element_immune_for d sl =
-      match cert_lookup with
-      | None -> false
-      | Some lk -> (
-        match lk sl.sl_sym.Model.sid with
-        | Some c -> Deckcheck.element_immune d.dk_rules c
-        | None -> false)
-    in
-    let elements_by_deck =
-      timed "elements" (fun () ->
-          if stage_parallel then begin
-            per_symbol_parallel "elements" (fun d sl ->
-                if not (element_immune_for d sl) then
-                  sl.sl_el <- Element_checks.check_symbol d.dk_rules sl.sl_sym);
-            assemble (fun sl -> sl.sl_el) (fun e -> e.Cache.de_elements)
-          end
-          else
-            List.map2
-              (fun d (slots, _, _) ->
-                per_symbol slots "elements"
-                  (fun sl ->
-                    let vs =
-                      if element_immune_for d sl then []
-                      else Element_checks.check_symbol d.dk_rules sl.sl_sym
-                    in
-                    sl.sl_el <- vs;
-                    vs)
-                  (fun e -> e.Cache.de_elements))
-              decks lookups)
-    in
-    if Option.is_some cert_lookup then begin
-      let skips = ref 0 in
-      List.iter2
-        (fun d (slots, _, _) ->
-          List.iter
-            (fun sl ->
-              if Option.is_none sl.sl_hit && element_immune_for d sl then incr skips)
-            slots)
-        decks lookups;
-      Metrics.incr ~by:!skips m "analysis.certified_element_skips";
-      Metrics.incr ~by:!skips m "analysis.certified_skips"
-    end;
-    let devices_by_deck =
-      timed "devices" (fun () ->
-          if stage_parallel then begin
-            per_symbol_parallel "devices" (fun d sl ->
-                sl.sl_dv <- Devices.check_symbol d.dk_rules sl.sl_sym);
-            assemble (fun sl -> sl.sl_dv) (fun e -> e.Cache.de_devices)
-          end
-          else
-            List.map2
-              (fun d (slots, _, _) ->
-                per_symbol slots "devices"
-                  (fun sl ->
-                    let vs = Devices.check_symbol d.dk_rules sl.sl_sym in
-                    sl.sl_dv <- vs;
-                    vs)
-                  (fun e -> e.Cache.de_devices))
-              decks lookups)
-    in
-    let relational_by_deck =
-      match t.e_config.relational with
-      | None -> List.map (fun _ -> []) decks
-      | Some exposure ->
-        timed "devices-relational" (fun () ->
-            if stage_parallel then begin
-              per_symbol_parallel "devices-relational" (fun d sl ->
-                  sl.sl_rel <- Devices.check_relational exposure d.dk_rules sl.sl_sym);
-              assemble (fun sl -> sl.sl_rel) (fun e -> e.Cache.de_relational)
-            end
-            else
-              List.map2
-                (fun d (slots, _, _) ->
-                  per_symbol slots "devices-relational"
-                    (fun sl ->
-                      let vs = Devices.check_relational exposure d.dk_rules sl.sl_sym in
-                      sl.sl_rel <- vs;
-                      vs)
-                    (fun e -> e.Cache.de_relational))
-                decks lookups)
-    in
-    (* Freshly computed definitions become cache entries (session +
-       disk), under their deck's environment.  When [relational] is off
-       the stored list is empty, which is sound: the environment digest
-       separates the two configs. *)
-    Trace.with_span trace ~cat:"cache" "defs-save" (fun () ->
-        List.iter2
-          (fun env_d (slots, _, _) ->
-            let defs = defs_for t env_d in
-            let stored = Hashtbl.create 16 in
-            List.iter
-              (fun sl ->
-                if Option.is_none sl.sl_hit && not (Hashtbl.mem stored sl.sl_fp) then begin
-                  Hashtbl.replace stored sl.sl_fp ();
-                  let entry =
-                    { Cache.de_elements = sl.sl_el;
-                      de_devices = sl.sl_dv;
-                      de_relational = sl.sl_rel }
-                  in
-                  Hashtbl.replace defs sl.sl_fp entry;
-                  match t.e_cache with
-                  | None -> ()
-                  | Some cache -> Cache.store_def cache ~env:env_d ~fp:sl.sl_fp entry
-                end)
-              slots)
-          env_by_deck lookups);
-    let total_one = List.length fps in
-    let total = total_one * List.length decks in
-    let reused = List.fold_left (fun acc (_, r, _) -> acc + r) 0 lookups in
-    let defs_from_disk = List.fold_left (fun acc (_, _, d) -> acc + d) 0 lookups in
-    let memo_loaded = List.fold_left ( + ) 0 memo_loaded_by_deck in
-    Metrics.incr ~by:total m "cache.symbols_total";
-    Metrics.incr ~by:reused m "cache.symbols_reused";
-    Metrics.incr ~by:defs_from_disk m "cache.defs_from_disk";
-    Metrics.incr ~by:(total - reused) m "cache.defs_computed";
-    Metrics.incr ~by:memo_loaded m "cache.memo_loaded";
-    if total > 0 then
-      Metrics.set_gauge m "cache.hit_ratio" (float_of_int reused /. float_of_int total);
+    let lookups = lookup_definitions t m trace fps in
+    let jobs = Interactions.effective_jobs t.e_config.interactions.Interactions.jobs in
+    List.iter
+      (fun stage ->
+        timed (def_stage_name stage) (fun () -> sweep_definitions m trace ~jobs lookups stage))
+      (Elements cert_lookup
+      :: Devices
+      :: Option.to_list (Option.map (fun e -> Relational e) t.e_config.relational));
+    store_definitions t trace lookups;
+    Metrics.incr ~by:(List.fold_left ( + ) 0 memo_loaded_by_deck) m "cache.memo_loaded";
     (* Composite stages always run fresh and are deck-independent: they
        are the hierarchical, cheap part, and they stitch the cached
        pieces together. *)
@@ -816,35 +752,30 @@ let check ?metrics ?trace ?progress t file =
         (Printf.sprintf "%d net(s) local to one definition, %d crossing boundaries" local
            crossing)
     in
-    let rec zip5 a b c d e =
-      match (a, b, c, d, e) with
-      | x :: a, y :: b, z :: c, u :: d, v :: e -> (x, y, z, u, v) :: zip5 a b c d e
-      | _ -> []
-    in
     let deck_results =
       List.map2
-        (fun ((d, (lint_issues, lint_suppressed), element_issues, device_issues,
-               relational_issues),
-              (interaction_issues, interaction_stats))
-             ((_, deck_reused, deck_from_disk), deck_memo_loaded) ->
+        (fun (lk, (lint_issues, lint_suppressed))
+             ((interaction_issues, interaction_stats), memo_loaded) ->
+          let from_slots field = List.concat_map field lk.lk_slots in
           let report =
             { Report.violations =
-                lint_issues @ parse_issues @ element_issues @ device_issues
-                @ relational_issues @ connection_issues @ interaction_issues
-                @ electrical_issues @ consistency_issues @ [ locality_info ] }
+                lint_issues @ parse_issues
+                @ from_slots (fun sl -> sl.sl_el)
+                @ from_slots (fun sl -> sl.sl_dv)
+                @ from_slots (fun sl -> sl.sl_rel)
+                @ connection_issues @ interaction_issues @ electrical_issues
+                @ consistency_issues @ [ locality_info ] }
           in
-          { dr_deck = d;
+          { dr_deck = lk.lk_deck;
             dr_result = { report; netlist; interaction_stats; metrics = m; model; nets };
             dr_reuse =
-              { symbols_total = total_one;
-                symbols_reused = deck_reused;
-                defs_from_disk = deck_from_disk;
-                memo_loaded = deck_memo_loaded };
+              { symbols_total = List.length fps;
+                symbols_reused = lk.lk_reused;
+                defs_from_disk = lk.lk_from_disk;
+                memo_loaded };
             dr_suppressed = lint_suppressed })
-        (List.combine
-           (zip5 decks lint_by_deck elements_by_deck devices_by_deck relational_by_deck)
-           interactions_by_deck)
-        (List.combine lookups memo_loaded_by_deck)
+        (List.combine lookups lint_by_deck)
+        (List.combine interactions_by_deck memo_loaded_by_deck)
     in
     (* Pairwise subsumption verdicts (R015) live only in the merged
        view: injecting them into per-deck reports would break the

@@ -402,9 +402,8 @@ let transform_site_into ~dst ~into tr s path =
    the definitions once and builds an ordered worklist of independent
    *tasks*: a chunk of local element pairs, one element against the
    instances near it, or one instance pair.  Phase 2 evaluates the
-   tasks — either in order on the calling domain ([jobs <= 1], exactly
-   the old serial behaviour) or over [Domain.spawn] workers claiming
-   contiguous chunks from a shared queue.
+   tasks on the {!Parallel} queue: domains (the calling one alone at
+   [jobs = 1]) claim contiguous chunks until it is dry.
 
    A task only reads shared state (the model, the net structure — both
    frozen after elaboration); everything it mutates lives in the
@@ -898,69 +897,49 @@ let run ?(config = default_config) ?rules ?memo ?metrics ?trace ?certs (p : plan
           metrics;
         Some arr)
   in
-  let jobs = max 1 (min (effective_jobs config.jobs) (max 1 n)) in
-  let shard_span i lo hi =
-    (Printf.sprintf "shard[%d]" i, [ ("tasks", string_of_int (hi - lo)) ])
+  (* Balanced scheduling via the shared {!Parallel} queue (which this
+     code originated).  The weight estimate reuses the [symbol.<name>]
+     cost buckets the earlier per-definition sweeps recorded into
+     [metrics]: a definition that was expensive to sweep has bigger
+     geometry and costs more to judge, so its tasks land in smaller
+     chunks.  Chunk results come back in worklist order, so the report
+     is byte-identical at every [jobs] value and across repeated runs;
+     which domain evaluated which chunk — and hence each shard's memo
+     hit/miss split — is the only thing that varies. *)
+  let weight_of_name =
+    match metrics with
+    | None -> fun _ -> 1
+    | Some m ->
+      let by_name = Hashtbl.create 16 in
+      fun sname ->
+        (match Hashtbl.find_opt by_name sname with
+        | Some w -> w
+        | None ->
+          let c = Metrics.cost_ns m ("symbol." ^ sname) in
+          let w = 1 + Int64.to_int (Int64.div c 1_000_000L) in
+          Hashtbl.add by_name sname w;
+          w)
   in
   let violations =
-    if jobs = 1 then begin
-      let name, args = shard_span 0 0 n in
-      let dctx = make_dctx rules stats master_memo in
-      let vs =
-        Trace.with_span trace ~cat:"shard" ~args name (fun () ->
-            run_span ?metrics ?enabled config rules tasks 0 n dctx)
-      in
-      fold_cells dctx;
-      vs
-    end
-    else begin
-      (* Balanced scheduling via the shared {!Parallel} queue (which
-         this code originated).  The weight estimate reuses the
-         [symbol.<name>] cost buckets the earlier per-definition sweeps
-         recorded into [metrics]: a definition that was expensive to
-         sweep has bigger geometry and costs more to judge, so its
-         tasks land in smaller chunks.  Chunk results come back in
-         worklist order, so the report is byte-identical to the serial
-         run at every [jobs] value and across repeated runs; which
-         domain evaluated which chunk — and hence each shard's memo
-         hit/miss split — is the only thing that varies. *)
-      let weight_of_name =
-        match metrics with
-        | None -> fun _ -> 1
-        | Some m ->
-          let by_name = Hashtbl.create 16 in
-          fun sname ->
-            (match Hashtbl.find_opt by_name sname with
-            | Some w -> w
-            | None ->
-              let c = Metrics.cost_ns m ("symbol." ^ sname) in
-              let w = 1 + Int64.to_int (Int64.div c 1_000_000L) in
-              Hashtbl.add by_name sname w;
-              w)
-      in
-      let chunks =
-        Parallel.run ?metrics ?trace ~jobs ~stage:"interactions"
-          ~weight:(fun i ->
-            match enabled with
-            | Some arr when not arr.(i) -> 1
-            | _ ->
-              let sname, _, _ = tasks.(i) in
-              weight_of_name sname)
-          ~n
-          ~worker:(fun _tid -> make_dctx rules (new_stats ()) (Hashtbl.copy master_memo))
-          ~chunk:(fun dctx dm _dt ~lo ~hi ->
-            run_span ?metrics:dm ?enabled config rules tasks lo hi dctx)
-          ~merge:(fun dctx ->
-            fold_cells dctx;
-            merge_stats ~into:stats dctx.d_stats;
-            Hashtbl.iter
-              (fun k v ->
-                if not (Hashtbl.mem master_memo k) then Hashtbl.add master_memo k v)
-              dctx.d_memo)
-          ()
-      in
-      List.concat chunks
-    end
+    List.concat
+    @@ Parallel.run ?metrics ?trace ~jobs:(effective_jobs config.jobs) ~stage:"interactions"
+      ~weight:(fun i ->
+        match enabled with
+        | Some arr when not arr.(i) -> 1
+        | _ ->
+          let sname, _, _ = tasks.(i) in
+          weight_of_name sname)
+      ~n
+      ~worker:(fun _tid -> make_dctx rules (new_stats ()) (Hashtbl.copy master_memo))
+      ~chunk:(fun dctx dm _dt ~lo ~hi ->
+        run_span ?metrics:dm ?enabled config rules tasks lo hi dctx)
+      ~merge:(fun dctx ->
+        fold_cells dctx;
+        merge_stats ~into:stats dctx.d_stats;
+        Hashtbl.iter
+          (fun k v -> if not (Hashtbl.mem master_memo k) then Hashtbl.add master_memo k v)
+          dctx.d_memo)
+      ()
   in
   Option.iter (fun m -> record_metrics m stats) metrics;
   (violations, stats)

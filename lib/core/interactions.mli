@@ -43,8 +43,9 @@
     - A task's verdicts do not depend on which domain runs it (the memo
       is a pure cache), and results are merged in worklist order, so
       the report is {e byte-identical} — same violations, same order —
-      for every [jobs] value, including the serial [jobs = 1], even
-      though chunk-to-domain assignment is nondeterministic.
+      for every [jobs] value, [jobs = 1] included (one domain draining
+      the same queue), even though chunk-to-domain assignment is
+      nondeterministic.
     - Only {!stats} totals that describe caching effort may vary with
       [jobs] (the memo hit/miss split and [bbox_rejects] depend on
       which domain warmed its memo copy first — and, under the queue,
@@ -73,10 +74,10 @@ type config = {
           behave like a net-blind checker (for the Fig 5 ablation) *)
   spacing_model : spacing_model;
   jobs : int;
-      (** domains to fan the interaction worklist over: [1] (the
-          default) is today's exact serial behaviour, [n > 1] spawns
-          [n - 1] extra domains, [0] asks the runtime
-          ([Domain.recommended_domain_count ()]) *)
+      (** domains to fan the per-definition and interaction
+          worklists over: [1] (the default) drains them on the calling
+          domain, [n > 1] spawns up to [n - 1] extra domains, [0] asks
+          the runtime ([Domain.recommended_domain_count ()]) *)
 }
 
 val default_config : config

@@ -9,8 +9,10 @@
 
    Contiguity is the determinism lever: results are identified by chunk
    index, so the caller can reassemble them in worklist order and the
-   output is byte-identical to the serial run at every [jobs] value —
-   which domain evaluated which chunk is the only thing that varies.
+   output is byte-identical at every [jobs] value — which domain
+   evaluated which chunk is the only thing that varies.  Every sweep
+   runs here at every [jobs] value: [jobs = 1] is the same queue
+   drained by the calling domain alone.
 
    Each worker gets its own [Metrics.t] and [Trace.t] (merged into the
    caller's after the join, in tid order), and spawned workers wrap
@@ -29,7 +31,7 @@ let run ?metrics ?trace ~jobs ~stage ~weight ~n ~worker ~chunk ~merge () =
   done;
   (* Roughly 8 chunks per domain: small enough that one expensive chunk
      cannot strand the queue, large enough to keep claims cheap. *)
-  let target = max 1 (!total / (jobs * 8)) in
+  let target = max 1 (!total / (max 1 jobs * 8)) in
   let cuts = ref [ 0 ] and acc = ref 0 in
   for i = 0 to n - 1 do
     acc := !acc + weight i;
@@ -40,6 +42,8 @@ let run ?metrics ?trace ~jobs ~stage ~weight ~n ~worker ~chunk ~merge () =
   done;
   let starts = Array.of_list (List.rev (n :: !cuts)) in
   let nchunks = Array.length starts - 1 in
+  (* More domains than chunks would only spawn idle workers. *)
+  let jobs = max 1 (min jobs nchunks) in
   let next = Atomic.make 0 in
   (* Each cell is written by exactly one domain (the unique claimant of
      that chunk); [Domain.join] publishes the writes. *)

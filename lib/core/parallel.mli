@@ -7,9 +7,9 @@
     work, and [jobs] domains (the caller plus [jobs - 1] spawned
     workers) claim chunks from an [Atomic] counter until the queue is
     dry.  Chunk results come back in worklist order, so callers that
-    assemble them positionally produce output byte-identical to their
-    serial path at every [jobs] value — which domain ran which chunk is
-    the only nondeterminism, and it is confined to scheduling.
+    assemble them positionally produce byte-identical output at every
+    [jobs] value — which domain ran which chunk is the only
+    nondeterminism, and it is confined to scheduling.
 
     Observability: when [metrics] / [trace] are given, every worker
     accumulates into per-domain buffers that are merged into the
@@ -38,9 +38,10 @@
       on the calling domain after all workers have joined, in tid
       order.
 
-    Intended for [jobs >= 2] — callers keep their serial path for
-    [jobs = 1] (and [run] with [jobs = 1] still works: it just does
-    everything on the calling domain). *)
+    The domain count is clamped to [max 1 (min jobs nchunks)]: with one
+    domain's worth of work (one chunk, or [jobs <= 1]) nothing is
+    spawned and every chunk runs on the calling domain, inside a single
+    [shard[0]] span, so every [jobs] value takes this one path. *)
 val run :
   ?metrics:Metrics.t ->
   ?trace:Trace.t ->

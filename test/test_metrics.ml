@@ -289,6 +289,29 @@ let test_jobs_auto () =
   Alcotest.(check bool) "completed" true
     (Dic.Report.count r.Dic.Engine.report >= 0)
 
+(* [Parallel.run] runs no more domains than it has chunks: one chunk,
+   an empty worklist or [jobs = 1] stays on the calling domain (tid 0)
+   alone.  Results come back in worklist order either way. *)
+let test_parallel_clamp () =
+  let domains ~jobs ~n =
+    let tids = ref [] in
+    let out =
+      Dic.Parallel.run ~jobs ~stage:"test" ~weight:(fun _ -> 1) ~n
+        ~worker:(fun tid -> tid)
+        ~chunk:(fun _ _ _ ~lo ~hi -> List.init (hi - lo) (fun i -> lo + i))
+        ~merge:(fun tid -> tids := tid :: !tids)
+        ()
+    in
+    Alcotest.(check (list int))
+      (Printf.sprintf "jobs=%d n=%d: every task once, in order" jobs n)
+      (List.init n Fun.id) (List.concat out);
+    List.rev !tids
+  in
+  Alcotest.(check (list int)) "one chunk spawns nothing" [ 0 ] (domains ~jobs:4 ~n:1);
+  Alcotest.(check (list int)) "empty worklist spawns nothing" [ 0 ] (domains ~jobs:4 ~n:0);
+  Alcotest.(check (list int)) "jobs=1 spawns nothing" [ 0 ] (domains ~jobs:1 ~n:100);
+  Alcotest.(check (list int)) "no more domains than chunks" [ 0; 1; 2 ] (domains ~jobs:8 ~n:3)
+
 let test_stats_merge_totals () =
   (* Per-cell pair totals are independent of the domain count (only the
      memo hit/miss split may shift). *)
@@ -311,23 +334,43 @@ let test_stats_merge_totals () =
 (* Every enumerated interaction pair ends in exactly one outcome: it
    is judged against a rule, or skipped for having no rule, for being
    on one net, or for being inside one device.  Must hold whatever the
-   domain count and whether or not immunity certificates prune work. *)
+   domain count and whether or not immunity certificates prune work.
+   The certificate and definition-cache counters reconcile the same
+   way, and every verdict-bearing count is the same at jobs 1 and 2. *)
 let test_interaction_counters_reconcile () =
   let file = Layoutgen.Pla.tier ~lambda ~rows:32 ~cols:64 in
   let saved = Dic.Deckcheck.enabled () in
   Fun.protect ~finally:(fun () -> Dic.Deckcheck.set_enabled saved) (fun () ->
       List.iter
-        (fun (jobs, certs) ->
+        (fun certs ->
           Dic.Deckcheck.set_enabled certs;
-          let m = (run_ok ~config:(with_jobs jobs) file).Dic.Engine.metrics in
-          let c name = Dic.Metrics.counter m ("interactions." ^ name) in
-          let label = Printf.sprintf "jobs=%d certs=%b" jobs certs in
-          Alcotest.(check bool) (label ^ ": pairs enumerated") true (c "pairs" > 0);
-          Alcotest.(check int)
-            (label ^ ": pairs = checked + skipped_no_rule + skipped_same_net + skipped_device")
-            (c "pairs")
-            (c "checked" + c "skipped_no_rule" + c "skipped_same_net" + c "skipped_device"))
-        [ (1, true); (2, true); (1, false); (2, false) ])
+          let counts jobs =
+            let m = (run_ok ~config:(with_jobs jobs) file).Dic.Engine.metrics in
+            let c = Dic.Metrics.counter m in
+            let label = Printf.sprintf "jobs=%d certs=%b" jobs certs in
+            Alcotest.(check bool) (label ^ ": pairs enumerated") true
+              (c "interactions.pairs" > 0);
+            Alcotest.(check int)
+              (label ^ ": pairs = checked + skipped_no_rule + skipped_same_net + skipped_device")
+              (c "interactions.pairs")
+              (c "interactions.checked" + c "interactions.skipped_no_rule"
+              + c "interactions.skipped_same_net" + c "interactions.skipped_device");
+            Alcotest.(check int)
+              (label ^ ": certified_skips = element skips + task skips")
+              (c "analysis.certified_skips")
+              (c "analysis.certified_element_skips" + c "analysis.certified_task_skips");
+            Alcotest.(check int)
+              (label ^ ": symbols_total = symbols_reused + defs_computed")
+              (c "cache.symbols_total")
+              (c "cache.symbols_reused" + c "cache.defs_computed");
+            List.map c
+              [ "analysis.certified_element_skips"; "analysis.certified_task_skips";
+                "interactions.pairs" ]
+          in
+          Alcotest.(check (list int))
+            (Printf.sprintf "certs=%b: element skips, task skips, pairs jobs-invariant" certs)
+            (counts 1) (counts 2))
+        [ true; false ])
 
 let () =
   Alcotest.run "metrics"
@@ -348,6 +391,7 @@ let () =
       ("parallel",
        [ Alcotest.test_case "deterministic" `Quick test_jobs_deterministic;
          Alcotest.test_case "auto jobs" `Quick test_jobs_auto;
+         Alcotest.test_case "domain clamp" `Quick test_parallel_clamp;
          Alcotest.test_case "stats totals" `Quick test_stats_merge_totals;
          Alcotest.test_case "interaction pairs reconcile" `Quick
            test_interaction_counters_reconcile ]) ]
