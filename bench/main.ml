@@ -524,17 +524,27 @@ let wall f =
   let v = f () in
   (v, Int64.to_float (Int64.sub (Dic.Metrics.now_ns ()) t0) *. 1e-9)
 
+module Json = Dic.Json
+
 (* Every BENCH_*.json stamps the host it ran on: a timing is
    meaningless in CI history without the thread count, compiler, and
    OS that produced it. *)
 let provenance () =
-  [ ("hardware_threads", Dic.Json.Num (float_of_int (Domain.recommended_domain_count ())));
-    ("ocaml_version", Dic.Json.Str Sys.ocaml_version); ("os", Dic.Json.Str Sys.os_type) ]
+  [ ("hardware_threads", Json.of_int (Domain.recommended_domain_count ()));
+    ("ocaml_version", Json.Str Sys.ocaml_version); ("os", Json.Str Sys.os_type) ]
 
-(* The same members as a JSON fragment, for the Printf-built files. *)
-let provenance_fields () =
-  let o = Dic.Json.to_string (Dic.Json.Obj (provenance ())) in
-  String.sub o 1 (String.length o - 2)
+(* A measurement rounded to [digits] decimals for the committed files:
+   they are read by people, and the digits past the noise are noise. *)
+let rounded digits f =
+  let k = 10. ** float_of_int digits in
+  Json.Num (Float.round (f *. k) /. k)
+
+(* Every BENCH_*.json is one JSON document on one line. *)
+let write_bench file json =
+  Out_channel.with_open_text file (fun oc ->
+      Out_channel.output_string oc (Json.to_string json);
+      Out_channel.output_char oc '\n');
+  print_endline ("wrote " ^ file)
 
 (* Median of [runs] timed calls after [warmup] discarded warm-up
    call(s) — the warm-up pages in the workload and triggers the one-off
@@ -553,12 +563,18 @@ let median_wall ?(warmup = 1) ?(runs = 5) f =
   in
   (Option.get !last, List.nth (List.sort compare ts) (runs / 2))
 
+(* Fastest of [n] timed calls, for the overhead experiments that
+   compare two configurations of the same work. *)
+let best n f =
+  let b = ref infinity in
+  for _ = 1 to n do
+    let _, t = wall f in
+    if t < !b then b := t
+  done;
+  !b
+
 (* Stage seconds as a JSON object, pipeline order preserved. *)
-let stages_json stages =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (s, t) -> Printf.sprintf "%S:%.6f" s t) stages)
-  ^ "}"
+let stages_obj stages = Json.Obj (List.map (fun (s, t) -> (s, rounded 6 t)) stages)
 
 let parallel_scaling () =
   section
@@ -583,101 +599,84 @@ let parallel_scaling () =
       " -- speedup is not expected on this host;\ndomains time-slice one core and \
        pay the cross-domain GC synchronisation";
   print_newline ();
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"experiment\":\"parallel-pipeline-scaling\",%s,\"scaling_meaningful\":%b,\"workloads\":["
-       (provenance_fields ()) (cores > 1));
-  List.iteri
-    (fun wi (name, file, warmup, runs) ->
-      if wi > 0 then Buffer.add_string buf ",";
-      let file = Lazy.force file in
-      let model =
-        match Dic.Model.elaborate rules file with
-        | Ok (m, _) -> m
-        | Error e -> failwith e
+  let workload (name, file, warmup, runs) =
+    let file = Lazy.force file in
+    let model =
+      match Dic.Model.elaborate rules file with
+      | Ok (m, _) -> m
+      | Error e -> failwith e
+    in
+    Printf.printf "[%s] %d symbol(s), %d instantiated element(s), %d run(s)\n" name
+      (Dic.Model.symbol_count model)
+      (Dic.Model.instantiated_elements model)
+      runs;
+    (* A fresh engine (no cache directory) per run: every timing is a
+       cold full pipeline, so stage seconds are comparable across
+       domain counts. *)
+    let check jobs () =
+      let config =
+        { Dic.Engine.default_config with
+          Dic.Engine.interactions =
+            { Dic.Interactions.default_config with Dic.Interactions.jobs } }
       in
-      Printf.printf "[%s] %d symbol(s), %d instantiated element(s), %d run(s)\n" name
-        (Dic.Model.symbol_count model)
-        (Dic.Model.instantiated_elements model)
-        runs;
-      (* A fresh engine (no cache directory) per run: every timing is a
-         cold full pipeline, so stage seconds are comparable across
-         domain counts. *)
-      let check jobs () =
-        let config =
-          { Dic.Engine.default_config with
-            Dic.Engine.interactions =
-              { Dic.Interactions.default_config with Dic.Interactions.jobs } }
-        in
-        let m = Dic.Metrics.create () in
-        match
-          Result.map Dic.Engine.primary
-          @@ Dic.Engine.check ~metrics:m (Dic.Engine.create ~config rules) file
-        with
-        | Error e -> failwith e
-        | Ok (r, _) ->
-          ( Format.asprintf "%a" Dic.Report.pp r.Dic.Engine.report,
-            Dic.Metrics.stage_seconds m )
+      let m = Dic.Metrics.create () in
+      match
+        Result.map Dic.Engine.primary
+        @@ Dic.Engine.check ~metrics:m (Dic.Engine.create ~config rules) file
+      with
+      | Error e -> failwith e
+      | Ok (r, _) ->
+        ( Format.asprintf "%a" Dic.Report.pp r.Dic.Engine.report,
+          Dic.Metrics.stage_seconds m )
+    in
+    if cores = 1 then Printf.printf "%8s %12s %12s\n" "jobs" "seconds" "identical"
+    else Printf.printf "%8s %12s %10s %12s\n" "jobs" "seconds" "speedup" "identical";
+    let reference = ref "" in
+    let base = ref 0. in
+    let base_stages = ref [] in
+    let point jobs =
+      let (report, stages), med = median_wall ~warmup ~runs (check jobs) in
+      if jobs = 1 then begin
+        reference := report;
+        base := med;
+        base_stages := stages
+      end;
+      let identical = String.equal report !reference in
+      let speedup = !base /. med in
+      (* Per-stage speedup against the jobs=1 stage seconds — the
+         scaling story is per stage: elaboration and net construction
+         are serial, the three sweeps are not. *)
+      let stage_speedup =
+        List.filter_map
+          (fun (s, t) ->
+            match List.assoc_opt s !base_stages with
+            | Some b when t > 0. && b > 0. -> Some (s, b /. t)
+            | _ -> None)
+          stages
       in
-      if cores = 1 then Printf.printf "%8s %12s %12s\n" "jobs" "seconds" "identical"
-      else Printf.printf "%8s %12s %10s %12s\n" "jobs" "seconds" "speedup" "identical";
-      let reference = ref "" in
-      let base = ref 0. in
-      let base_stages = ref [] in
-      Buffer.add_string buf (Printf.sprintf "{\"name\":\"%s\",\"points\":[" name);
-      List.iteri
-        (fun ji jobs ->
-          if ji > 0 then Buffer.add_string buf ",";
-          let (report, stages), med = median_wall ~warmup ~runs (check jobs) in
-          if jobs = 1 then begin
-            reference := report;
-            base := med;
-            base_stages := stages
-          end;
-          let identical = String.equal report !reference in
-          (* Per-stage speedup against the jobs=1 stage seconds — the
-             scaling story is per stage: elaboration and net
-             construction are serial, the three sweeps are not. *)
-          let stage_speedup =
-            List.filter_map
-              (fun (s, t) ->
-                match List.assoc_opt s !base_stages with
-                | Some b when t > 0. && b > 0. -> Some (s, b /. t)
-                | _ -> None)
-              stages
-          in
-          (* On a one-core host the "speedup" would only measure domain
-             time-slicing noise; report time and the identity check. *)
-          if cores = 1 then begin
-            Printf.printf "%8d %12.3f %12b\n" jobs med identical;
-            Buffer.add_string buf
-              (Printf.sprintf
-                 "{\"jobs\":%d,\"seconds\":%.6f,\"identical\":%b,\"stages\":%s}" jobs
-                 med identical (stages_json stages))
-          end
-          else begin
-            Printf.printf "%8d %12.3f %9.2fx %12b\n" jobs med (!base /. med) identical;
-            Buffer.add_string buf
-              (Printf.sprintf
-                 "{\"jobs\":%d,\"seconds\":%.6f,\"speedup\":%.3f,\"identical\":%b,\"stages\":%s,\"stage_speedup\":%s}"
-                 jobs med (!base /. med) identical (stages_json stages)
-                 (stages_json stage_speedup))
-          end;
-          let big =
-            List.filter (fun (_, t) -> t >= 0.01) stages
-            |> List.map (fun (s, t) -> Printf.sprintf "%s %.2fs" s t)
-          in
-          if big <> [] then
-            Printf.printf "%8s stages: %s\n" "" (String.concat ", " big))
-        job_counts;
-      Buffer.add_string buf "]}")
-    workloads;
-  Buffer.add_string buf "]}";
-  Out_channel.with_open_text "BENCH_parallel.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf);
-      Out_channel.output_char oc '\n');
-  print_endline "wrote BENCH_parallel.json"
+      if cores = 1 then Printf.printf "%8d %12.3f %12b\n" jobs med identical
+      else Printf.printf "%8d %12.3f %9.2fx %12b\n" jobs med speedup identical;
+      let big =
+        List.filter (fun (_, t) -> t >= 0.01) stages
+        |> List.map (fun (s, t) -> Printf.sprintf "%s %.2fs" s t)
+      in
+      if big <> [] then Printf.printf "%8s stages: %s\n" "" (String.concat ", " big);
+      (* On a one-core host the "speedup" would only measure domain
+         time-slicing noise; record time and the identity check. *)
+      let scaled fields = if cores = 1 then [] else fields in
+      Json.Obj
+        ([ ("jobs", Json.of_int jobs); ("seconds", rounded 6 med) ]
+        @ scaled [ ("speedup", rounded 3 speedup) ]
+        @ [ ("identical", Json.Bool identical); ("stages", stages_obj stages) ]
+        @ scaled [ ("stage_speedup", stages_obj stage_speedup) ])
+    in
+    Json.Obj [ ("name", Json.Str name); ("points", Json.Arr (List.map point job_counts)) ]
+  in
+  let workloads = List.map workload workloads in
+  write_bench "BENCH_parallel.json"
+    (Json.Obj
+       ((("experiment", Json.Str "parallel-pipeline-scaling") :: provenance ())
+       @ [ ("scaling_meaningful", Json.Bool (cores > 1)); ("workloads", Json.Arr workloads) ]))
 
 (* ------------------------------------------------------------------ *)
 (* I -- Persistent incremental rechecking                              *)
@@ -710,53 +709,48 @@ let incremental_recheck () =
        Layoutgen.Pla.plane ~lambda
          (Layoutgen.Pla.random_program ~rows:48 ~cols:96 ~seed:7)) ]
   in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"experiment\":\"incremental-recheck\",%s,\"workloads\":["
-       (provenance_fields ()));
   Printf.printf "%-22s %10s %10s %10s %10s %12s %10s\n" "workload" "cold (s)"
     "warm (s)" "reused" "identical" "edit (s)" "reused";
-  List.iteri
-    (fun wi (name, file) ->
-      if wi > 0 then Buffer.add_string buf ",";
-      let dir = Filename.concat cache_dir name in
-      let check f =
-        let (result, reuse), t =
-          wall (fun () ->
-              match Result.map Dic.Engine.primary @@ Dic.Engine.check (Dic.Engine.create ~cache_dir:dir rules) f with
-              | Ok r -> r
-              | Error e -> failwith e)
+  let rows =
+    List.map
+      (fun (name, file) ->
+        let dir = Filename.concat cache_dir name in
+        let check f =
+          let (result, reuse), t =
+            wall (fun () ->
+                match Result.map Dic.Engine.primary @@ Dic.Engine.check (Dic.Engine.create ~cache_dir:dir rules) f with
+                | Ok r -> r
+                | Error e -> failwith e)
+          in
+          (Format.asprintf "%a" Dic.Report.pp result.Dic.Engine.report, reuse, t)
         in
-        (Format.asprintf "%a" Dic.Report.pp result.Dic.Engine.report, reuse, t)
-      in
-      let cold_report, _, cold_t = check file in
-      let warm_report, warm_reuse, warm_t = check file in
-      let identical = String.equal cold_report warm_report in
-      let edited, _ =
-        Layoutgen.Inject.apply file
-          [ Layoutgen.Inject.narrow_poly_wire ~lambda ~at:(-40 * lambda, -40 * lambda) ]
-      in
-      let _, edit_reuse, edit_t = check edited in
-      Printf.printf "%-22s %10.3f %10.3f %7d/%-3d %9b %12.3f %7d/%-3d\n" name cold_t
-        warm_t warm_reuse.Dic.Engine.symbols_reused warm_reuse.Dic.Engine.symbols_total
-        identical edit_t edit_reuse.Dic.Engine.symbols_reused
-        edit_reuse.Dic.Engine.symbols_total;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cold_s\":%.6f,\"warm_s\":%.6f,\"warm_reused\":%d,\
-            \"warm_total\":%d,\"warm_identical\":%b,\"warm_memo_loaded\":%d,\
-            \"edit_s\":%.6f,\"edit_reused\":%d}"
-           name cold_t warm_t warm_reuse.Dic.Engine.symbols_reused
-           warm_reuse.Dic.Engine.symbols_total identical
-           warm_reuse.Dic.Engine.memo_loaded edit_t
-           edit_reuse.Dic.Engine.symbols_reused))
-    workloads;
-  Buffer.add_string buf "]}";
-  Out_channel.with_open_text "BENCH_incremental.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf);
-      Out_channel.output_char oc '\n');
+        let cold_report, _, cold_t = check file in
+        let warm_report, warm_reuse, warm_t = check file in
+        let identical = String.equal cold_report warm_report in
+        let edited, _ =
+          Layoutgen.Inject.apply file
+            [ Layoutgen.Inject.narrow_poly_wire ~lambda ~at:(-40 * lambda, -40 * lambda) ]
+        in
+        let _, edit_reuse, edit_t = check edited in
+        Printf.printf "%-22s %10.3f %10.3f %7d/%-3d %9b %12.3f %7d/%-3d\n" name cold_t
+          warm_t warm_reuse.Dic.Engine.symbols_reused warm_reuse.Dic.Engine.symbols_total
+          identical edit_t edit_reuse.Dic.Engine.symbols_reused
+          edit_reuse.Dic.Engine.symbols_total;
+        Json.Obj
+          [ ("name", Json.Str name); ("cold_s", rounded 6 cold_t); ("warm_s", rounded 6 warm_t);
+            ("warm_reused", Json.of_int warm_reuse.Dic.Engine.symbols_reused);
+            ("warm_total", Json.of_int warm_reuse.Dic.Engine.symbols_total);
+            ("warm_identical", Json.Bool identical);
+            ("warm_memo_loaded", Json.of_int warm_reuse.Dic.Engine.memo_loaded);
+            ("edit_s", rounded 6 edit_t);
+            ("edit_reused", Json.of_int edit_reuse.Dic.Engine.symbols_reused) ])
+      workloads
+  in
   rm_rf cache_dir;
-  print_endline "wrote BENCH_incremental.json"
+  write_bench "BENCH_incremental.json"
+    (Json.Obj
+       ((("experiment", Json.Str "incremental-recheck") :: provenance ())
+       @ [ ("workloads", Json.Arr rows) ]))
 
 (* ------------------------------------------------------------------ *)
 (* TR -- Tracing overhead                                              *)
@@ -770,14 +764,6 @@ let trace_overhead () =
     "TR: span-tracing overhead\n\
      (disabled tracing must be free; enabled, a span is two clock\n\
      reads and one append)";
-  let best n f =
-    let b = ref infinity in
-    for _ = 1 to n do
-      let _, t = wall f in
-      if t < !b then b := t
-    done;
-    !b
-  in
   Printf.printf "%-26s %12s %12s %10s\n" "workload" "off (s)" "on (s)" "overhead";
   List.iter
     (fun (name, file) ->
@@ -827,14 +813,6 @@ let lint_overhead () =
     "LN: static lint overhead\n\
      (check_deck + check_ast + check_model must stay under 5% of a\n\
      full cold check on shift-register-1024)";
-  let best n f =
-    let b = ref infinity in
-    for _ = 1 to n do
-      let _, t = wall f in
-      if t < !b then b := t
-    done;
-    !b
-  in
   let file = Layoutgen.Shift.register ~lambda 1024 in
   let model =
     match Dic.Model.elaborate rules file with
@@ -898,10 +876,6 @@ let kernel_bench () =
   in
   let cutoff2 = dmax * dmax in
   let iters = 1_000_000 in
-  let rounded digits f =
-    let k = 10. ** float_of_int digits in
-    Dic.Json.Num (Float.round (f *. k) /. k)
-  in
   Printf.printf "%-22s %10s %10s %10s %10s\n" "workload" "sweep ns" "stage s"
     "minor Mw" "major Mw";
   let rows =
@@ -942,8 +916,8 @@ let kernel_bench () =
         let minor = per_run (g1.Gc.minor_words -. g0.Gc.minor_words)
         and major = per_run (g1.Gc.major_words -. g0.Gc.major_words) in
         Printf.printf "%-22s %10.1f %10.3f %10.1f %10.1f\n%!" name sweep_ns stage_s minor major;
-        Dic.Json.Obj
-          [ ("name", Dic.Json.Str name); ("kernel_ns_sweep", rounded 1 sweep_ns);
+        Json.Obj
+          [ ("name", Json.Str name); ("kernel_ns_sweep", rounded 1 sweep_ns);
             ("check_sweep_s", rounded 6 stage_s); ("sweep_minor_mwords", rounded 3 minor);
             ("sweep_major_mwords", rounded 3 major) ])
       workloads
@@ -970,15 +944,10 @@ let kernel_bench () =
     failwith "warm-cache report differs from cold with packed memo payloads";
   Printf.printf "warm-vs-cold cache identity (shift-register-256): %b (%d/%d reused)\n"
     cache_identical reuse.Dic.Engine.symbols_reused reuse.Dic.Engine.symbols_total;
-  let json =
-    Dic.Json.Obj
-      ((("experiment", Dic.Json.Str "gap-kernel") :: provenance ())
-      @ [ ("workloads", Dic.Json.Arr rows); ("cache_identical", Dic.Json.Bool cache_identical) ])
-  in
-  Out_channel.with_open_text "BENCH_kernel.json" (fun oc ->
-      Out_channel.output_string oc (Dic.Json.to_string json);
-      Out_channel.output_char oc '\n');
-  print_endline "wrote BENCH_kernel.json"
+  write_bench "BENCH_kernel.json"
+    (Json.Obj
+       ((("experiment", Json.Str "gap-kernel") :: provenance ())
+       @ [ ("workloads", Json.Arr rows); ("cache_identical", Json.Bool cache_identical) ]))
 
 (* ------------------------------------------------------------------ *)
 (* S -- Serve daemon under concurrent clients                          *)
@@ -1036,7 +1005,7 @@ let serve_bench () =
     done
   in
   let request id =
-    Dic.Json.to_string (Dic.Json.Obj [ ("id", Dic.Json.Str id); ("cif", Dic.Json.Str src) ])
+    Json.to_string (Json.Obj [ ("id", Json.Str id); ("cif", Json.Str src) ])
   in
   (* One client conversation: [reqs] sequential request/reply round
      trips, returning per-request latencies and the mismatch count. *)
@@ -1050,9 +1019,9 @@ let serve_bench () =
       (match In_channel.input_line ic with
       | None -> incr mismatches
       | Some line -> (
-        match Dic.Json.parse line with
+        match Json.parse line with
         | Ok v
-          when Option.bind (Dic.Json.member "report" v) Dic.Json.str = Some expected ->
+          when Option.bind (Json.member "report" v) Json.str = Some expected ->
           ()
         | _ -> incr mismatches));
       lats.(i) <- Int64.to_float (Int64.sub (Dic.Metrics.now_ns ()) t0) *. 1e-9
@@ -1067,64 +1036,59 @@ let serve_bench () =
     sorted.(min (Array.length sorted - 1)
               (int_of_float (q *. float_of_int (Array.length sorted - 1))))
   in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"experiment\":\"serve-concurrency\",\"workers\":%d,%s,\"scaling_meaningful\":%b,\"workload\":\"grid-4x4\",\"requests_per_client\":%d,\"points\":["
-       workers
-       (provenance_fields ())
-       (Domain.recommended_domain_count () > 1)
-       reqs_per_client);
   Printf.printf "%8s %9s %9s %9s %9s %9s %9s %10s\n" "clients" "requests" "seconds"
     "rps" "ttfr_ms" "p50_ms" "p99_ms" "identical";
   let all_identical = ref true in
-  List.iteri
-    (fun i clients ->
-      let results, seconds =
-        wall (fun () ->
-            List.init clients (fun k ->
-                Domain.spawn (run_client (Printf.sprintf "c%d" k) reqs_per_client))
-            |> List.map Domain.join)
-      in
-      (* Each client's first round trip pays connection setup and any
-         cold worker state: report it as time-to-first-reply (worst
-         client) and keep it out of the steady-state percentiles. *)
-      let ttfr =
-        List.fold_left (fun acc (l, _) -> Float.max acc l.(0)) 0. results
-      in
-      let lats =
-        Array.concat
-          (List.map (fun (l, _) -> Array.sub l 1 (Array.length l - 1)) results)
-      in
-      Array.sort compare lats;
-      let total = Array.length lats + List.length results in
-      let mismatches = List.fold_left (fun acc (_, m) -> acc + m) 0 results in
-      let identical = mismatches = 0 in
-      if not identical then all_identical := false;
-      let rps = float_of_int total /. seconds in
-      let ttfr_ms = ttfr *. 1e3 in
-      let p50 = percentile lats 0.5 *. 1e3 and p99 = percentile lats 0.99 *. 1e3 in
-      Printf.printf "%8d %9d %9.3f %9.1f %9.2f %9.2f %9.2f %10b\n" clients total
-        seconds rps ttfr_ms p50 p99 identical;
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"clients\":%d,\"requests\":%d,\"seconds\":%.6f,\"rps\":%.3f,\"ttfr_ms\":%.4f,\"p50_ms\":%.4f,\"p99_ms\":%.4f,\"identical\":%b}"
-           clients total seconds rps ttfr_ms p50 p99 identical))
-    [ 1; 2; 4; 8 ];
-  Buffer.add_string buf (Printf.sprintf "],\"identical\":%b}" !all_identical);
+  let point clients =
+    let results, seconds =
+      wall (fun () ->
+          List.init clients (fun k ->
+              Domain.spawn (run_client (Printf.sprintf "c%d" k) reqs_per_client))
+          |> List.map Domain.join)
+    in
+    (* Each client's first round trip pays connection setup and any
+       cold worker state: report it as time-to-first-reply (worst
+       client) and keep it out of the steady-state percentiles. *)
+    let ttfr =
+      List.fold_left (fun acc (l, _) -> Float.max acc l.(0)) 0. results
+    in
+    let lats =
+      Array.concat
+        (List.map (fun (l, _) -> Array.sub l 1 (Array.length l - 1)) results)
+    in
+    Array.sort compare lats;
+    let total = Array.length lats + List.length results in
+    let mismatches = List.fold_left (fun acc (_, m) -> acc + m) 0 results in
+    let identical = mismatches = 0 in
+    if not identical then all_identical := false;
+    let rps = float_of_int total /. seconds in
+    let ttfr_ms = ttfr *. 1e3 in
+    let p50 = percentile lats 0.5 *. 1e3 and p99 = percentile lats 0.99 *. 1e3 in
+    Printf.printf "%8d %9d %9.3f %9.1f %9.2f %9.2f %9.2f %10b\n" clients total
+      seconds rps ttfr_ms p50 p99 identical;
+    Json.Obj
+      [ ("clients", Json.of_int clients); ("requests", Json.of_int total);
+        ("seconds", rounded 6 seconds); ("rps", rounded 3 rps);
+        ("ttfr_ms", rounded 4 ttfr_ms); ("p50_ms", rounded 4 p50);
+        ("p99_ms", rounded 4 p99); ("identical", Json.Bool identical) ]
+  in
+  let points = List.map point [ 1; 2; 4; 8 ] in
   (* Graceful teardown: the shutdown handshake drains and flushes, and
      serve_socket removes its socket file on the way out. *)
   let fd, ic = connect () in
-  send fd "{\"id\":\"bye\",\"shutdown\":true}";
+  send fd (Json.to_string (Json.Obj [ ("id", Json.Str "bye"); ("shutdown", Json.Bool true) ]));
   ignore (In_channel.input_line ic);
   (try Unix.close fd with Unix.Unix_error _ -> ());
   Domain.join srv;
   rm_rf cache_dir;
-  Out_channel.with_open_text "BENCH_serve.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf);
-      Out_channel.output_char oc '\n');
-  print_endline "wrote BENCH_serve.json"
+  write_bench "BENCH_serve.json"
+    (Json.Obj
+       ((("experiment", Json.Str "serve-concurrency") :: ("workers", Json.of_int workers)
+        :: provenance ())
+       @ [ ("scaling_meaningful", Json.Bool (Domain.recommended_domain_count () > 1));
+           ("workload", Json.Str "grid-4x4");
+           ("requests_per_client", Json.of_int reqs_per_client);
+           ("points", Json.Arr points); ("identical", Json.Bool !all_identical) ]))
 
 (* ------------------------------------------------------------------ *)
 (* TL -- Service telemetry overhead                                    *)
@@ -1146,22 +1110,14 @@ let telemetry_overhead () =
      (event log + slow entries + trace collection + rolling metrics\n\
      against a quiet hub, same sequential requests, single worker;\n\
      must stay under 5% and leave every report byte unchanged)";
-  let best n f =
-    let b = ref infinity in
-    for _ = 1 to n do
-      let _, t = wall f in
-      if t < !b then b := t
-    done;
-    !b
-  in
   let src = Cif.Print.to_string (Layoutgen.Cells.grid ~lambda ~nx:6 ~ny:6) in
   let reqs = 50 in
   let request ~traced i =
-    Dic.Json.to_string
-      (Dic.Json.Obj
-         (("id", Dic.Json.Str (Printf.sprintf "r%d" i))
-          :: ("cif", Dic.Json.Str src)
-          :: (if traced then [ ("trace", Dic.Json.Bool true) ] else [])))
+    Json.to_string
+      (Json.Obj
+         (("id", Json.Str (Printf.sprintf "r%d" i))
+          :: ("cif", Json.Str src)
+          :: (if traced then [ ("trace", Json.Bool true) ] else [])))
   in
   let round server ~traced sink =
     let lock = Mutex.create () in
@@ -1180,10 +1136,10 @@ let telemetry_overhead () =
   let reports replies =
     List.rev_map
       (fun line ->
-        match Dic.Json.parse line with
+        match Json.parse line with
         | Ok v ->
           Option.value ~default:"?"
-            (Option.bind (Dic.Json.member "report" v) Dic.Json.str)
+            (Option.bind (Json.member "report" v) Json.str)
         | Error _ -> "?")
       replies
     |> List.sort compare
@@ -1256,14 +1212,14 @@ let telemetry_overhead () =
   Printf.printf "%-22s %11.4f %11.4f %+9.2f%% %11.4f %8d %10b\n"
     (Printf.sprintf "grid-6x6 x%d" reqs) quiet_s loud_s pct embed_s events
     identical;
-  Out_channel.with_open_text "BENCH_telemetry.json" (fun oc ->
-      Printf.fprintf oc
-        "{\"experiment\":\"serve-telemetry-overhead\",%s,\"workload\":\"grid-6x6\",\
-         \"requests\":%d,\"quiet_s\":%.6f,\"loud_s\":%.6f,\"overhead_pct\":%.3f,\
-         \"embed_s\":%.6f,\"embed_pct\":%.3f,\"events\":%d,\"identical\":%b}\n"
-        (provenance_fields ()) reqs quiet_s loud_s pct embed_s embed_pct events
-        identical);
-  print_endline "wrote BENCH_telemetry.json";
+  write_bench "BENCH_telemetry.json"
+    (Json.Obj
+       ((("experiment", Json.Str "serve-telemetry-overhead") :: provenance ())
+       @ [ ("workload", Json.Str "grid-6x6"); ("requests", Json.of_int reqs);
+           ("quiet_s", rounded 6 quiet_s); ("loud_s", rounded 6 loud_s);
+           ("overhead_pct", rounded 3 pct); ("embed_s", rounded 6 embed_s);
+           ("embed_pct", rounded 3 embed_pct); ("events", Json.of_int events);
+           ("identical", Json.Bool identical) ]));
   if not identical then
     failwith "telemetry changed report bytes -- the determinism bar is broken";
   if pct >= 5. then
@@ -1419,20 +1375,17 @@ let multideck_bench () =
     speedup_warm warm_identical;
   if not (cold_identical && warm_identical) then
     print_endline "WARNING: deck-set reports diverged from independent runs";
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"experiment\":\"multideck\",%s,\"workload\":\"pla-48x96\",\"decks\":%d,\
-        \"cold\":{\"independent_s\":%.6f,\"deckset_s\":%.6f,\"speedup\":%.3f,\
-        \"identical\":%b},\
-        \"warm\":{\"independent_s\":%.6f,\"deckset_s\":%.6f,\"speedup\":%.3f,\
-        \"identical\":%b}}"
-       (provenance_fields ()) n ind_cold set_cold speedup_cold cold_identical
-       ind_warm set_warm speedup_warm warm_identical);
-  Out_channel.with_open_text "BENCH_multideck.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf);
-      Out_channel.output_char oc '\n');
-  print_endline "wrote BENCH_multideck.json"
+  let phase ind set speedup identical =
+    Json.Obj
+      [ ("independent_s", rounded 6 ind); ("deckset_s", rounded 6 set);
+        ("speedup", rounded 3 speedup); ("identical", Json.Bool identical) ]
+  in
+  write_bench "BENCH_multideck.json"
+    (Json.Obj
+       ((("experiment", Json.Str "multideck") :: provenance ())
+       @ [ ("workload", Json.Str "pla-48x96"); ("decks", Json.of_int n);
+           ("cold", phase ind_cold set_cold speedup_cold cold_identical);
+           ("warm", phase ind_warm set_warm speedup_warm warm_identical) ]))
 
 (* ------------------------------------------------------------------ *)
 (* DC -- Deck semantic analysis + certificate pruning                  *)
@@ -1454,8 +1407,6 @@ let deckcheck_bench () =
      (closure micro-cost per deck; certificate-pruned checks must be\n\
      byte-identical to unpruned, skip a nonzero fraction of rule\n\
      evaluations, and keep analysis cost under 5% of check time)";
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "{%s,\"decks\":[" (provenance_fields ()));
   let contradictory_src =
     "name contradictory\nlambda 100\npad_metal_surround 40\nwidth_poly 200\n\
      space_diffusion_poly 80\nspace_poly_diffusion 150\n"
@@ -1468,25 +1419,23 @@ let deckcheck_bench () =
        | Error e -> failwith e) ]
   in
   Printf.printf "%-18s %14s %8s\n" "deck" "closure (us)" "diags";
-  let first = ref true in
-  List.iter
-    (fun (name, r) ->
-      let diags = ref [] in
-      let _, t =
-        wall (fun () ->
-            for _ = 1 to 1000 do
-              diags := Dic.Deckcheck.check_deck r
-            done)
-      in
-      let us = t /. 1000. *. 1e6 in
-      Printf.printf "%-18s %14.2f %8d\n" name us (List.length !diags);
-      if not !first then Buffer.add_string buf ",";
-      first := false;
-      Buffer.add_string buf
-        (Printf.sprintf "{\"deck\":%S,\"closure_us\":%.3f,\"diags\":%d}" name us
-           (List.length !diags)))
-    decks;
-  Buffer.add_string buf "],\"workloads\":[";
+  let deck_rows =
+    List.map
+      (fun (name, r) ->
+        let diags = ref [] in
+        let _, t =
+          wall (fun () ->
+              for _ = 1 to 1000 do
+                diags := Dic.Deckcheck.check_deck r
+              done)
+        in
+        let us = t /. 1000. *. 1e6 in
+        Printf.printf "%-18s %14.2f %8d\n" name us (List.length !diags);
+        Json.Obj
+          [ ("deck", Json.Str name); ("closure_us", rounded 3 us);
+            ("diags", Json.of_int (List.length !diags)) ])
+      decks
+  in
   let check_once ~certs file =
     let saved = Dic.Deckcheck.enabled () in
     Dic.Deckcheck.set_enabled certs;
@@ -1513,57 +1462,51 @@ let deckcheck_bench () =
   in
   Printf.printf "\n%-14s %9s %9s %9s %11s %10s %9s\n" "workload" "on (s)"
     "off (s)" "skips" "evals-cut" "analysis" "identical";
-  let first = ref true in
-  List.iter
-    (fun (name, file) ->
-      let file = Lazy.force file in
-      let on_bytes, t_on, m_on = check_once ~certs:true file in
-      let off_bytes, t_off, m_off = check_once ~certs:false file in
-      let identical = on_bytes = off_bytes in
-      let skips = Dic.Metrics.counter m_on "analysis.certified_skips" in
-      let pairs_on = Dic.Metrics.counter m_on "interactions.pairs" in
-      let pairs_off = Dic.Metrics.counter m_off "interactions.pairs" in
-      let evals_cut =
-        if pairs_off > 0 then
-          1. -. (float_of_int pairs_on /. float_of_int pairs_off)
-        else 0.
-      in
-      let certify_s =
-        Int64.to_float (Dic.Metrics.cost_ns m_on "analysis.certify") *. 1e-9
-      in
-      let guard_s =
-        Int64.to_float (Dic.Metrics.cost_ns m_on "analysis.guard") *. 1e-9
-      in
-      let analysis_s = certify_s +. guard_s in
-      let overhead_pct = 100. *. analysis_s /. Float.max 1e-9 t_on in
-      Printf.printf
-        "%-14s %9.3f %9.3f %9d %10.1f%% %9.2f%% %9b  (certify %.1fms, guard %.1fms)\n"
-        name t_on t_off skips (100. *. evals_cut) overhead_pct identical
-        (certify_s *. 1e3) (guard_s *. 1e3);
-      if not !first then Buffer.add_string buf ",";
-      first := false;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"workload\":%S,\"seconds_on\":%.6f,\"seconds_off\":%.6f,\
-            \"identical\":%b,\"certified_skips\":%d,\"pairs_on\":%d,\
-            \"pairs_off\":%d,\"eval_skip_fraction\":%.4f,\
-            \"analysis_seconds\":%.6f,\"analysis_overhead_pct\":%.3f}"
-           name t_on t_off identical skips pairs_on pairs_off evals_cut
-           analysis_s overhead_pct);
-      if not identical then
-        failwith (name ^ ": certificate-pruned report differs from unpruned");
-      if skips = 0 then
-        failwith (name ^ ": certificates pruned nothing on a PLA tier");
-      if overhead_pct >= 5. then
-        failwith
-          (Printf.sprintf "%s: analysis overhead %.2f%% breaches the 5%% budget"
-             name overhead_pct))
-    workloads;
-  Buffer.add_string buf "]}";
-  Out_channel.with_open_text "BENCH_deckcheck.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf);
-      Out_channel.output_char oc '\n');
-  print_endline "wrote BENCH_deckcheck.json"
+  let workload (name, file) =
+    let file = Lazy.force file in
+    let on_bytes, t_on, m_on = check_once ~certs:true file in
+    let off_bytes, t_off, m_off = check_once ~certs:false file in
+    let identical = on_bytes = off_bytes in
+    let skips = Dic.Metrics.counter m_on "analysis.certified_skips" in
+    let pairs_on = Dic.Metrics.counter m_on "interactions.pairs" in
+    let pairs_off = Dic.Metrics.counter m_off "interactions.pairs" in
+    let evals_cut =
+      if pairs_off > 0 then
+        1. -. (float_of_int pairs_on /. float_of_int pairs_off)
+      else 0.
+    in
+    let certify_s =
+      Int64.to_float (Dic.Metrics.cost_ns m_on "analysis.certify") *. 1e-9
+    in
+    let guard_s =
+      Int64.to_float (Dic.Metrics.cost_ns m_on "analysis.guard") *. 1e-9
+    in
+    let analysis_s = certify_s +. guard_s in
+    let overhead_pct = 100. *. analysis_s /. Float.max 1e-9 t_on in
+    Printf.printf
+      "%-14s %9.3f %9.3f %9d %10.1f%% %9.2f%% %9b  (certify %.1fms, guard %.1fms)\n"
+      name t_on t_off skips (100. *. evals_cut) overhead_pct identical
+      (certify_s *. 1e3) (guard_s *. 1e3);
+    if not identical then
+      failwith (name ^ ": certificate-pruned report differs from unpruned");
+    if skips = 0 then
+      failwith (name ^ ": certificates pruned nothing on a PLA tier");
+    if overhead_pct >= 5. then
+      failwith
+        (Printf.sprintf "%s: analysis overhead %.2f%% breaches the 5%% budget"
+           name overhead_pct);
+    Json.Obj
+      [ ("workload", Json.Str name); ("seconds_on", rounded 6 t_on);
+        ("seconds_off", rounded 6 t_off); ("identical", Json.Bool identical);
+        ("certified_skips", Json.of_int skips); ("pairs_on", Json.of_int pairs_on);
+        ("pairs_off", Json.of_int pairs_off); ("eval_skip_fraction", rounded 4 evals_cut);
+        ("analysis_seconds", rounded 6 analysis_s);
+        ("analysis_overhead_pct", rounded 3 overhead_pct) ]
+  in
+  let workloads = List.map workload workloads in
+  write_bench "BENCH_deckcheck.json"
+    (Json.Obj
+       (provenance () @ [ ("decks", Json.Arr deck_rows); ("workloads", Json.Arr workloads) ]))
 
 (* ------------------------------------------------------------------ *)
 

@@ -22,7 +22,8 @@ let read_file path =
   if path = "-" then In_channel.input_all In_channel.stdin
   else In_channel.with_open_text path In_channel.input_all
 
-let write_output path content =
+let write_json path json =
+  let content = Dic.Json.to_string json in
   if path = "-" then print_endline content
   else
     Out_channel.with_open_text path (fun oc ->
@@ -159,25 +160,39 @@ let run_dic ~show_netlist ~show_stats ~show_structure ~check_same_net ~expect ~m
             Out_channel.output_string oc (Dic.Markers.to_cif marker_report)));
       (match stats_json with
       | None -> ()
-      | Some path -> write_output path (Dic.Metrics.to_json result.Dic.Engine.metrics));
+      | Some path -> write_json path (Dic.Metrics.to_json result.Dic.Engine.metrics));
       (match (trace_out, trace) with
-      | Some path, Some tr -> write_output path (Dic.Trace.to_chrome_json tr)
+      | Some path, Some tr -> write_json path (Dic.Trace.chrome tr)
       | _ -> ());
       (match sarif_out with
       | None -> ()
       | Some path ->
         let uri = if input = "-" then "stdin" else input in
-        if single then
-          write_output path (Dic.Sarif.of_report ~uri result.Dic.Engine.report)
-        else
-          write_output path
-            (Dic.Sarif.of_reports ~uri
-               (List.map
-                  (fun (dr : Dic.Engine.deck_result) ->
-                    ( dr.Dic.Engine.dr_deck.Dic.Engine.dk_label,
-                      dr.Dic.Engine.dr_deck.Dic.Engine.dk_rules,
-                      dr.Dic.Engine.dr_result.Dic.Engine.report ))
-                  multi.Dic.Engine.results)));
+        (* Waived lint findings ride along as suppressed results, and a
+           deck set carries its pairwise relations, as in serve's
+           [sarif] member. *)
+        let suppressed (dr : Dic.Engine.deck_result) =
+          Dic.Lint.to_violations dr.Dic.Engine.dr_suppressed
+        in
+        write_json path
+          (match multi.Dic.Engine.results with
+          | [ dr ] ->
+            Dic.Sarif.of_report ~uri ~suppressed:(suppressed dr)
+              dr.Dic.Engine.dr_result.Dic.Engine.report
+          | drs ->
+            Dic.Sarif.of_reports ~uri
+              ~suppressed:
+                (List.map
+                   (fun (dr : Dic.Engine.deck_result) ->
+                     (dr.Dic.Engine.dr_deck.Dic.Engine.dk_label, suppressed dr))
+                   drs)
+              ~relations:multi.Dic.Engine.merged.Dic.Multireport.relations
+              (List.map
+                 (fun (dr : Dic.Engine.deck_result) ->
+                   ( dr.Dic.Engine.dr_deck.Dic.Engine.dk_label,
+                     dr.Dic.Engine.dr_deck.Dic.Engine.dk_rules,
+                     dr.Dic.Engine.dr_result.Dic.Engine.report ))
+                 drs)));
       List.fold_left
         (fun acc (dr : Dic.Engine.deck_result) ->
           max acc
@@ -350,7 +365,7 @@ let lint_main file rules_files lambda explain_code sarif_out werror =
       in
       match deck_out with
       | [ (_, _, kept, supp) ] ->
-        write_output path
+        write_json path
           (Dic.Sarif.of_report ~uri
              ~suppressed:(Dic.Lint.to_violations (supp @ design_supp))
              (report_of (kept @ design_kept)))
@@ -368,7 +383,7 @@ let lint_main file rules_files lambda explain_code sarif_out werror =
               (p, Dic.Lint.to_violations (if i = 0 then s @ design_supp else s)))
             deck_out
         in
-        write_output path (Dic.Sarif.of_reports ~uri ~suppressed:supp ~relations runs));
+        write_json path (Dic.Sarif.of_reports ~uri ~suppressed:supp ~relations runs));
     if errors > 0 then 1 else if werror && all <> [] then 1 else 0
 
 (* ------------------------------------------------------------------ *)
@@ -432,7 +447,7 @@ let serve_main lambda rules_file cache socket workers max_queue trace_out event_
   (match trace_out with
   | None -> ()
   | Some path ->
-    write_output path (Dic.Trace.to_chrome_json (Dic.Telemetry.merged_trace telemetry)));
+    write_json path (Dic.Trace.chrome (Dic.Telemetry.merged_trace telemetry)));
   Option.iter (fun (_, oc, _) -> Out_channel.close !oc) event_state;
   0
 
@@ -441,7 +456,7 @@ let serve_main lambda rules_file cache socket workers max_queue trace_out event_
 
 (* One stats round trip on a fresh connection, so `top` keeps working
    across daemon restarts and never holds a reader hostage. *)
-let fetch_stats ?(req = "{\"admin\":\"stats\",\"id\":\"top\"}\n") path =
+let fetch_stats ~req path =
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
@@ -521,9 +536,12 @@ let top_main path interval once raw metrics_format event_log =
   | Some path ->
   let prom = metrics_format = `Prom in
   let req =
-    if prom then
-      "{\"admin\":\"stats\",\"format\":\"prometheus\",\"id\":\"top\"}\n"
-    else "{\"admin\":\"stats\",\"id\":\"top\"}\n"
+    Dic.Json.to_string
+      (Dic.Json.Obj
+         ((("admin", Dic.Json.Str "stats")
+          :: (if prom then [ ("format", Dic.Json.Str "prometheus") ] else []))
+         @ [ ("id", Dic.Json.Str "top") ]))
+    ^ "\n"
   in
   let tick () =
     match fetch_stats ~req path with

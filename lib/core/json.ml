@@ -38,6 +38,8 @@ let number_to_string f =
     let s15 = Printf.sprintf "%.15g" f in
     if Float.equal (float_of_string s15) f then s15 else Printf.sprintf "%.17g" f
 
+let of_int n = Num (float_of_int n)
+
 let to_string v =
   let buf = Buffer.create 256 in
   let rec go = function

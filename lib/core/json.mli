@@ -1,17 +1,24 @@
-(** A minimal JSON value type, parser, and printer.
+(** The repository's one JSON value type, printer and parser.
 
-    The repository's structured outputs ({!Metrics.to_json},
-    {!Sarif.of_report}, {!Trace.to_chrome_json}) are string emitters and
-    need no value type; this module exists for the places that must
-    {e read} JSON — the [dicheck serve] request protocol ({!Serve}) —
-    and for composing reply objects without string-splicing bugs.
+    Every structured output is built as a {!t} and printed by
+    {!to_string}: the metrics document ({!Metrics.to_json}), SARIF
+    ({!Sarif.of_report}, {!Sarif.of_reports}), Chrome traces
+    ({!Trace.chrome}), [dicheck serve] replies ({!Serve}), the event log
+    and the bench's [BENCH_*.json] files.  String escaping, number
+    formatting and separators therefore live here and nowhere else, and
+    a serve reply embeds those documents as values.  The same module
+    reads JSON: serve requests, the event-log replay and the tests.
 
     The parser accepts RFC 8259 JSON (objects, arrays, strings with
     escapes including [\uXXXX], numbers, booleans, null) and rejects
     trailing garbage.  The printer is canonical for a given value: no
     whitespace, object members in the order given, integers printed
-    without a decimal point, other numbers with 15 significant digits
-    when that parses back to the same float (17 otherwise). *)
+    without a decimal point, other numbers in the shortest round-trip
+    form (15 significant digits when that parses back to the same
+    float, 17 otherwise).  Strings use the short escapes for quote,
+    backslash, newline, carriage return, tab, backspace and form feed,
+    [\u00XX] for the other control bytes, and pass bytes from [0x7f]
+    up through unchanged. *)
 
 type t =
   | Null
@@ -25,6 +32,10 @@ type t =
 val parse : string -> (t, string) result
 
 val to_string : t -> string
+
+(** [of_int n] is [Num (float_of_int n)]; it prints like [%d] for
+    [|n| < 10^15]. *)
+val of_int : int -> t
 
 (** [quote s] is the JSON string literal for [s], including the
     surrounding double quotes. *)

@@ -272,92 +272,56 @@ let count_report t (report : Report.t) =
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* Canonical float rendering for gauges/window stats: integral values
-   print like integers, everything else to 6 significant digits.  The
-   point is determinism for equal states, not full precision. *)
+(* Canonical float rendering for the human view of gauges/window
+   stats: integral values print like integers, everything else to 6
+   significant digits. *)
 let float_str v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.6g" v
 
-let window_stats_fields s =
+let window_json s =
   let n = Array.length s.w_values in
   let mean =
     if n = 0 then 0. else Array.fold_left ( +. ) 0. s.w_values /. float_of_int n
   in
-  let max_ = Array.fold_left Float.max 0. s.w_values in
-  Printf.sprintf
-    "\"capacity\":%d,\"count\":%d,\"len\":%d,\"mean\":%s,\"max\":%s,\
-     \"p50\":%s,\"p95\":%s,\"p99\":%s"
-    s.w_capacity s.w_count n (float_str mean) (float_str max_)
-    (float_str (window_quantile s 0.5))
-    (float_str (window_quantile s 0.95))
-    (float_str (window_quantile s 0.99))
+  let q p = Json.Num (window_quantile s p) in
+  Json.Obj
+    [ ("capacity", Json.of_int s.w_capacity); ("count", Json.of_int s.w_count);
+      ("len", Json.of_int n); ("mean", Json.Num mean);
+      ("max", Json.Num (Array.fold_left Float.max 0. s.w_values));
+      ("p50", q 0.5); ("p95", q 0.95); ("p99", q 0.99) ]
 
 let to_json t =
-  let buf = Buffer.create 1024 in
-  let add = Buffer.add_string buf in
-  add "{\"stages\":[";
-  List.iteri
-    (fun i (name, s) ->
-      if i > 0 then add ",";
-      add (Printf.sprintf "{\"name\":\"%s\",\"seconds\":%.9f}" (json_escape name) s))
-    (stage_seconds t);
-  add "],\"counters\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then add ",";
-      add (Printf.sprintf "\"%s\":%d" (json_escape name) v))
-    (counters t);
-  add "},\"histograms\":{";
-  List.iteri
-    (fun i name ->
-      if i > 0 then add ",";
-      let s = snapshot (Hashtbl.find t.hists name) in
-      add (Printf.sprintf "\"%s\":{\"count\":%d,\"sum_ns\":%Ld,\"buckets\":[" (json_escape name)
-             s.h_count s.h_sum_ns);
-      List.iteri
-        (fun j (le, n) ->
-          if j > 0 then add ",";
-          add (Printf.sprintf "{\"le_ns\":%Ld,\"count\":%d}" le n))
-        s.h_buckets;
-      add "]}")
-    (hist_names t);
-  add "},\"gauges\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then add ",";
-      add (Printf.sprintf "\"%s\":%s" (json_escape name) (float_str v)))
-    (gauges t);
-  add "},\"windows\":{";
-  List.iteri
-    (fun i name ->
-      if i > 0 then add ",";
-      let s = Option.get (window t name) in
-      add (Printf.sprintf "\"%s\":{%s}" (json_escape name) (window_stats_fields s)))
-    (window_names t);
-  add "},\"costs\":{";
-  List.iteri
-    (fun i (name, ns) ->
-      if i > 0 then add ",";
-      add (Printf.sprintf "\"%s\":%Ld" (json_escape name) ns))
-    (costs t);
-  add "}}";
-  Buffer.contents buf
+  let obj f xs = Json.Obj (List.map f xs) in
+  let ns n = Json.Num (Int64.to_float n) in
+  let hist name =
+    let s = snapshot (Hashtbl.find t.hists name) in
+    ( name,
+      Json.Obj
+        [ ("count", Json.of_int s.h_count); ("sum_ns", ns s.h_sum_ns);
+          ("buckets",
+           Json.Arr
+             (List.map
+                (fun (le, n) -> Json.Obj [ ("le_ns", ns le); ("count", Json.of_int n) ])
+                s.h_buckets)) ] )
+  in
+  Json.Obj
+    [ ("stages",
+       Json.Arr
+         (List.map
+            (fun (name, s) ->
+              (* Whole nanoseconds: summed float seconds would otherwise
+                 print 17-digit tails. *)
+              Json.Obj
+                [ ("name", Json.Str name);
+                  ("seconds", Json.Num (Float.round (s *. 1e9) /. 1e9)) ])
+            (stage_seconds t)));
+      ("counters", obj (fun (name, v) -> (name, Json.of_int v)) (counters t));
+      ("histograms", obj hist (hist_names t));
+      ("gauges", obj (fun (name, v) -> (name, Json.Num v)) (gauges t));
+      ("windows", obj (fun name -> (name, window_json (Option.get (window t name))))
+         (window_names t));
+      ("costs", obj (fun (name, c) -> (name, ns c)) (costs t)) ]
 
 (* Approximate quantile from the bucket upper bounds. *)
 let quantile_ns s q =

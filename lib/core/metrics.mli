@@ -196,9 +196,11 @@ val count_report : t -> Report.t -> unit
     "buckets":[{"le_ns","count"}…]}…}, "gauges":{name:v…},
     "windows":{name:{"capacity","count","len","mean","max",
     "p50","p95","p99"}…}, "costs":{name:ns…}}].
-    Deterministic for equal states; no external JSON library
-    involved. *)
-val to_json : t -> string
+    Deterministic for equal states.  [dicheck --stats-json] prints it
+    with {!Json.to_string} (numbers in their shortest round-trip form);
+    [dicheck serve] embeds the same value as a reply's [metrics]
+    member. *)
+val to_json : t -> Json.t
 
 (** Human-readable multi-line summary (stage table, then counters,
     then histogram quantile sketches). *)

@@ -1,4 +1,4 @@
-(* SARIF 2.1.0 emission, by hand.
+(* SARIF 2.1.0 emission as a {!Json.t}.
 
    The output is deterministic: rules are sorted by id, results keep
    report order, and no timestamps or absolute paths are embedded, so
@@ -11,24 +11,6 @@ let level_of_severity = function
   | Report.Error -> "error"
   | Report.Warning -> "warning"
   | Report.Info -> "note"
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let str s = "\"" ^ json_escape s ^ "\""
 
 (* The distinct rule ids of the report (and of any suppressed results
    riding along), sorted, with their index in the emitted [rules] array
@@ -120,134 +102,118 @@ let rule_json ?deck_rules (id, _index) =
        run is enforcing. *)
     match Option.bind deck_rules (fun r -> deck_position r id) with
     | Some (key, line) ->
-      Printf.sprintf ",\"properties\":{\"deckKey\":%s,\"deckLine\":%d}" (str key) line
-    | None -> ""
+      [ ("properties",
+         Json.Obj [ ("deckKey", Json.Str key); ("deckLine", Json.of_int line) ]) ]
+    | None -> []
   in
-  Printf.sprintf "{\"id\":%s,\"shortDescription\":{\"text\":%s}%s}" (str id)
-    (str desc) deck_props
-
-let region_json (l : Cif.Loc.t) =
-  Printf.sprintf "{\"startLine\":%d,\"startColumn\":%d}" l.Cif.Loc.line l.Cif.Loc.col
+  Json.Obj
+    ([ ("id", Json.Str id); ("shortDescription", Json.Obj [ ("text", Json.Str desc) ]) ]
+    @ deck_props)
 
 let location_json ~uri (v : Report.violation) =
-  let physical =
+  (* Without a source position (programmatic AST) the artifact is
+     still named, so viewers group results by file. *)
+  let region =
     match v.Report.loc with
     | Some l ->
-      Printf.sprintf "\"physicalLocation\":{\"artifactLocation\":{\"uri\":%s},\"region\":%s}"
-        (str uri) (region_json l)
-    | None ->
-      (* No source position (programmatic AST): still name the artifact
-         so viewers group results by file. *)
-      Printf.sprintf "\"physicalLocation\":{\"artifactLocation\":{\"uri\":%s}}" (str uri)
+      [ ("region",
+         Json.Obj
+           [ ("startLine", Json.of_int l.Cif.Loc.line);
+             ("startColumn", Json.of_int l.Cif.Loc.col) ]) ]
+    | None -> []
   in
-  let logical =
-    Printf.sprintf
-      "\"logicalLocations\":[{\"fullyQualifiedName\":%s,\"kind\":\"member\"}]"
-      (str (Report.instance_path v))
-  in
-  Printf.sprintf "{%s,%s}" physical logical
+  Json.Obj
+    [ ("physicalLocation",
+       Json.Obj (("artifactLocation", Json.Obj [ ("uri", Json.Str uri) ]) :: region));
+      ("logicalLocations",
+       Json.Arr
+         [ Json.Obj
+             [ ("fullyQualifiedName", Json.Str (Report.instance_path v));
+               ("kind", Json.Str "member") ] ]) ]
 
 let result_json ?(suppressed = false) ~uri rules (v : Report.violation) =
   let rule_index = match List.assoc_opt v.Report.rule rules with Some i -> i | None -> -1 in
   let region_props =
     match v.Report.where with
-    | None -> ""
+    | None -> []
     | Some r ->
       (* Layout coordinates ride along as properties: SARIF regions are
          text-based, and [where] is geometry in [context]'s frame. *)
-      Printf.sprintf
-        ",\"properties\":{\"bboxX0\":%d,\"bboxY0\":%d,\"bboxX1\":%d,\"bboxY1\":%d}"
-        (Geom.Rect.x0 r) (Geom.Rect.y0 r) (Geom.Rect.x1 r) (Geom.Rect.y1 r)
+      [ ("properties",
+         Json.Obj
+           [ ("bboxX0", Json.of_int (Geom.Rect.x0 r)); ("bboxY0", Json.of_int (Geom.Rect.y0 r));
+             ("bboxX1", Json.of_int (Geom.Rect.x1 r)); ("bboxY1", Json.of_int (Geom.Rect.y1 r)) ]) ]
   in
   let suppressions =
     (* A waived diagnostic is still a [result] — reviewers see what was
        silenced — but carries an [inSource] suppression (the waiver
        lives in the deck comment or the design's [4L] command), which
        SARIF viewers render as "suppressed" instead of open. *)
-    if suppressed then ",\"suppressions\":[{\"kind\":\"inSource\"}]" else ""
+    if suppressed then
+      [ ("suppressions", Json.Arr [ Json.Obj [ ("kind", Json.Str "inSource") ] ]) ]
+    else []
   in
-  Printf.sprintf
-    "{\"ruleId\":%s,\"ruleIndex\":%d,\"level\":%s,\"message\":{\"text\":%s},\"locations\":[%s]%s%s}"
-    (str v.Report.rule) rule_index
-    (str (level_of_severity v.Report.severity))
-    (str v.Report.message)
-    (location_json ~uri v) region_props suppressions
+  Json.Obj
+    ([ ("ruleId", Json.Str v.Report.rule); ("ruleIndex", Json.of_int rule_index);
+       ("level", Json.Str (level_of_severity v.Report.severity));
+       ("message", Json.Obj [ ("text", Json.Str v.Report.message) ]);
+       ("locations", Json.Arr [ location_json ~uri v ]) ]
+    @ region_props @ suppressions)
 
 (* One [runs[]] entry.  With neither [automation_id] nor [deck_rules]
-   the bytes are exactly the historical single-run body — [of_report]
-   output must not change shape. *)
-let add_run buf ?automation_id ?deck_rules ?(suppressed = []) ~uri ~tool_version
+   it is exactly the historical single-run body — [of_report] output
+   must not change shape.  Suppressed results follow the live ones, in
+   report order. *)
+let run_json ?automation_id ?deck_rules ?(suppressed = []) ~uri ~tool_version
     (report : Report.t) =
   let rules = rule_table ~suppressed report in
-  let add = Buffer.add_string buf in
-  add "{";
-  (match automation_id with
-  | Some id -> add (Printf.sprintf "\"automationDetails\":{\"id\":%s}," (str id))
-  | None -> ());
-  add "\"tool\":{\"driver\":{\"name\":\"dicheck\"";
-  add (Printf.sprintf ",\"version\":%s" (str tool_version));
-  add
-    ",\"informationUri\":\"https://doi.org/10.1145/800139.804577\",\"rules\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then add ",";
-      add (rule_json ?deck_rules r))
-    rules;
-  add "]}},\"results\":[";
-  let live = List.rev report.Report.violations in
-  List.iteri
-    (fun i v ->
-      if i > 0 then add ",";
-      add (result_json ~uri rules v))
-    live;
-  (* Suppressed results follow the live ones, in report order; with no
-     waivers the bytes are exactly the historical run body. *)
-  List.iteri
-    (fun i v ->
-      if live <> [] || i > 0 then add ",";
-      add (result_json ~suppressed:true ~uri rules v))
-    suppressed;
-  add "]}"
+  let automation =
+    match automation_id with
+    | Some id -> [ ("automationDetails", Json.Obj [ ("id", Json.Str id) ]) ]
+    | None -> []
+  in
+  Json.Obj
+    (automation
+    @ [ ("tool",
+         Json.Obj
+           [ ("driver",
+              Json.Obj
+                [ ("name", Json.Str "dicheck"); ("version", Json.Str tool_version);
+                  ("informationUri", Json.Str "https://doi.org/10.1145/800139.804577");
+                  ("rules", Json.Arr (List.map (rule_json ?deck_rules) rules)) ]) ]);
+        ("results",
+         Json.Arr
+           (List.rev_map (result_json ~uri rules) report.Report.violations
+           @ List.map (result_json ~suppressed:true ~uri rules) suppressed)) ])
+
+let log ?(properties = []) runs =
+  Json.Obj
+    ([ ("$schema", Json.Str schema); ("version", Json.Str "2.1.0"); ("runs", Json.Arr runs) ]
+    @ properties)
 
 let of_report ?(uri = "design.cif") ?(tool_version = Version.version)
     ?(suppressed = []) (report : Report.t) =
-  let buf = Buffer.create 4096 in
-  let add = Buffer.add_string buf in
-  add "{\"$schema\":";
-  add (str schema);
-  add ",\"version\":\"2.1.0\",\"runs\":[";
-  add_run buf ~suppressed ~uri ~tool_version report;
-  add "]}";
-  Buffer.contents buf
+  log [ run_json ~suppressed ~uri ~tool_version report ]
 
 let of_reports ?(uri = "design.cif") ?(tool_version = Version.version)
     ?(suppressed = []) ?(relations = [])
     (decks : (string * Tech.Rules.t * Report.t) list) =
-  let buf = Buffer.create 8192 in
-  let add = Buffer.add_string buf in
-  add "{\"$schema\":";
-  add (str schema);
-  add ",\"version\":\"2.1.0\",\"runs\":[";
-  List.iteri
-    (fun i (label, deck_rules, report) ->
-      if i > 0 then add ",";
-      let suppressed =
-        match List.assoc_opt label suppressed with Some vs -> vs | None -> []
-      in
-      add_run buf ~automation_id:label ~deck_rules ~suppressed ~uri ~tool_version
-        report)
-    decks;
-  add "]";
+  let runs =
+    List.map
+      (fun (label, deck_rules, report) ->
+        let suppressed =
+          match List.assoc_opt label suppressed with Some vs -> vs | None -> []
+        in
+        run_json ~automation_id:label ~deck_rules ~suppressed ~uri ~tool_version report)
+      decks
+  in
   (* Deck-subsumption verdicts (R015) are cross-run facts, so they live
      in the log's properties bag, not in any single run's results. *)
-  if relations <> [] then begin
-    add ",\"properties\":{\"deckRelations\":[";
-    List.iteri
-      (fun i line ->
-        if i > 0 then add ",";
-        add (str line))
-      relations;
-    add "]}"
-  end;
-  add "}";
-  Buffer.contents buf
+  let properties =
+    if relations = [] then []
+    else
+      [ ("properties",
+         Json.Obj
+           [ ("deckRelations", Json.Arr (List.map (fun l -> Json.Str l) relations)) ]) ]
+  in
+  log ~properties runs

@@ -16,30 +16,33 @@
       ("TOP.inv[3].contact[0]") from {!Report.instance_path}, which is
       how the paper names a fault site in a hierarchical design.
 
-    Output is deterministic for a given report: rules are sorted by id,
-    results keep report order, and no timestamps are embedded. *)
+    Both emitters return the document as a {!Json.t}: the CLI prints it
+    with {!Json.to_string}, [dicheck serve] embeds the same value as a
+    reply's [sarif] member.  Output is deterministic for a given
+    report: rules are sorted by id, results keep report order, and no
+    timestamps are embedded. *)
 
-(** [of_report ~uri report] renders a complete SARIF 2.1.0 document
+(** [of_report ~uri report] builds a complete SARIF 2.1.0 document
     (one [run]).  [uri] is the artifact URI recorded for physical
     locations — pass the CIF input path; defaults to ["design.cif"].
     [tool_version] defaults to {!Version.version}.  [suppressed] are
     waived diagnostics (deck [# lint: allow] comments, design [4L]
     commands): each is emitted as a result carrying
     [suppressions:[{kind:"inSource"}]], after the live results, and its
-    rule id joins the run's rule table.  Without waivers the bytes are
-    exactly the historical document. *)
+    rule id joins the run's rule table.  Without waivers the document
+    is exactly the historical one. *)
 val of_report :
   ?uri:string -> ?tool_version:string -> ?suppressed:Report.violation list ->
-  Report.t -> string
+  Report.t -> Json.t
 
-(** [of_reports [(label, deck_rules, report); ...]] renders a
+(** [of_reports [(label, deck_rules, report); ...]] builds a
     multi-deck check as one SARIF log with {e one [run] per deck}.
     Each run carries [automationDetails.id = label] so viewers keep the
     decks apart, and every rule whose parameter comes from a rules-file
     key the deck defines in text gets
     [properties.deckKey]/[properties.deckLine] pointing at the defining
     line in {e that} deck (via {!Tech.Rules.position}).  Run order is
-    deck order; within a run, bytes follow the same deterministic
+    deck order; within a run, members follow the same deterministic
     layout as {!of_report}.
 
     [suppressed] maps a deck label to that deck's waived diagnostics,
@@ -52,4 +55,4 @@ val of_reports :
   ?uri:string -> ?tool_version:string ->
   ?suppressed:(string * Report.violation list) list ->
   ?relations:string list ->
-  (string * Tech.Rules.t * Report.t) list -> string
+  (string * Tech.Rules.t * Report.t) list -> Json.t

@@ -80,11 +80,9 @@ let telemetry t = t.s_telemetry
 (* ------------------------------------------------------------------ *)
 (* Replies                                                             *)
 
-let jnum n = Json.Num (float_of_int n)
-
 (* The reply's "req" member: the daemon-assigned request id that also
    keys the event log and the request's trace spans. *)
-let req_field = function Some seq -> [ ("req", jnum seq) ] | None -> []
+let req_field = function Some seq -> [ ("req", Json.of_int seq) ] | None -> []
 
 let refuse ?(status = "error") ?(extra = []) id msg =
   Json.to_string
@@ -97,12 +95,6 @@ let refuse ?(status = "error") ?(extra = []) id msg =
 let cancelled_reply ?req id =
   refuse ~status:"cancelled" ~extra:(req_field req) id
     "superseded by a newer request with the same id"
-
-(* Embed an already-rendered JSON document as a subobject of the reply.
-   Both emitters are canonical, so the parse cannot fail in practice;
-   if it ever does, ship the text as a string rather than lose it. *)
-let embed rendered =
-  match Json.parse rendered with Ok v -> v | Error _ -> Json.Str rendered
 
 let read_file path =
   try Ok (In_channel.with_open_text path In_channel.input_all)
@@ -271,7 +263,7 @@ let process t engines ?req ?trace reqj =
             List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [])
           in
           [ ("lint_counts",
-             Json.Obj (List.map (fun (k, n) -> (k, Json.Num (float_of_int n))) entries)) ]
+             Json.Obj (List.map (fun (k, n) -> (k, Json.of_int n)) entries)) ]
         end
       in
       let lint_suppressed_of suppressed =
@@ -284,7 +276,7 @@ let process t engines ?req ?trace reqj =
           [ ("lint_suppressed",
              Json.Obj
                (List.map
-                  (fun (k, n) -> (k, Json.Num (float_of_int n)))
+                  (fun (k, n) -> (k, Json.of_int n))
                   (Lint.suppressed_counts suppressed))) ]
       in
       let exit_of report =
@@ -309,7 +301,7 @@ let process t engines ?req ?trace reqj =
       let with_trace members =
         match trace with
         | Some tr when flag "trace" ->
-          members @ [ ("trace", embed (Trace.to_chrome_json tr)) ]
+          members @ [ ("trace", Trace.chrome tr) ]
         | _ -> members
       in
       match Engine.check_string ?trace engine src with
@@ -337,30 +329,29 @@ let process t engines ?req ?trace reqj =
           let base =
             [ ("id", id); ("ok", Json.Bool true); ("status", Json.Str "ok") ]
             @ req_members
-            @ [ ("errors", Json.Num (float_of_int errors));
-              ("warnings", Json.Num (float_of_int warnings));
-              ("exit", Json.Num (float_of_int exit_code));
-              ("symbols_total", Json.Num (float_of_int reuse.Engine.symbols_total));
-              ("symbols_reused", Json.Num (float_of_int reuse.Engine.symbols_reused));
-              ("defs_from_disk", Json.Num (float_of_int reuse.Engine.defs_from_disk));
-              ("memo_loaded", Json.Num (float_of_int reuse.Engine.memo_loaded)) ]
+            @ [ ("errors", Json.of_int errors);
+              ("warnings", Json.of_int warnings);
+              ("exit", Json.of_int exit_code);
+              ("symbols_total", Json.of_int reuse.Engine.symbols_total);
+              ("symbols_reused", Json.of_int reuse.Engine.symbols_reused);
+              ("defs_from_disk", Json.of_int reuse.Engine.defs_from_disk);
+              ("memo_loaded", Json.of_int reuse.Engine.memo_loaded) ]
             @ lint_counts_of result.Engine.report
             @ lint_suppressed_of suppressed
             @ [ ("report", Json.Str report_text) ]
           in
           let with_metrics =
             if flag "stats" then
-              base @ [ ("metrics", embed (Metrics.to_json result.Engine.metrics)) ]
+              base @ [ ("metrics", Metrics.to_json result.Engine.metrics) ]
             else base
           in
           let with_sarif =
             if flag "sarif" then
               with_metrics
               @ [ ("sarif",
-                   embed
-                     (Sarif.of_report ~uri
-                        ~suppressed:(Lint.to_violations suppressed)
-                        result.Engine.report)) ]
+                   Sarif.of_report ~uri
+                     ~suppressed:(Lint.to_violations suppressed)
+                     result.Engine.report) ]
             else with_metrics
           in
           ( Json.to_string (Json.Obj (with_trace with_sarif)),
@@ -383,13 +374,13 @@ let process t engines ?req ?trace reqj =
             let reuse = dr.Engine.dr_reuse in
             Json.Obj
               ([ ("label", Json.Str dr.Engine.dr_deck.Engine.dk_label);
-                 ("errors", jnum (Report.count ~severity:Report.Error report));
-                 ("warnings", jnum (Report.count ~severity:Report.Warning report));
-                 ("exit", jnum (exit_of report));
-                 ("symbols_total", jnum reuse.Engine.symbols_total);
-                 ("symbols_reused", jnum reuse.Engine.symbols_reused);
-                 ("defs_from_disk", jnum reuse.Engine.defs_from_disk);
-                 ("memo_loaded", jnum reuse.Engine.memo_loaded) ]
+                 ("errors", Json.of_int (Report.count ~severity:Report.Error report));
+                 ("warnings", Json.of_int (Report.count ~severity:Report.Warning report));
+                 ("exit", Json.of_int (exit_of report));
+                 ("symbols_total", Json.of_int reuse.Engine.symbols_total);
+                 ("symbols_reused", Json.of_int reuse.Engine.symbols_reused);
+                 ("defs_from_disk", Json.of_int reuse.Engine.defs_from_disk);
+                 ("memo_loaded", Json.of_int reuse.Engine.memo_loaded) ]
               @ lint_counts_of report
               @ lint_suppressed_of dr.Engine.dr_suppressed)
           in
@@ -409,13 +400,13 @@ let process t engines ?req ?trace reqj =
           let base =
             [ ("id", id); ("ok", Json.Bool true); ("status", Json.Str "ok") ]
             @ req_members
-            @ [ ("errors", jnum errors);
-              ("warnings", jnum warnings);
-              ("exit", jnum exit_code);
-              ("symbols_total", jnum (sum (fun r -> r.Engine.symbols_total)));
-              ("symbols_reused", jnum (sum (fun r -> r.Engine.symbols_reused)));
-              ("defs_from_disk", jnum (sum (fun r -> r.Engine.defs_from_disk)));
-              ("memo_loaded", jnum (sum (fun r -> r.Engine.memo_loaded)));
+            @ [ ("errors", Json.of_int errors);
+              ("warnings", Json.of_int warnings);
+              ("exit", Json.of_int exit_code);
+              ("symbols_total", Json.of_int (sum (fun r -> r.Engine.symbols_total)));
+              ("symbols_reused", Json.of_int (sum (fun r -> r.Engine.symbols_reused)));
+              ("defs_from_disk", Json.of_int (sum (fun r -> r.Engine.defs_from_disk)));
+              ("memo_loaded", Json.of_int (sum (fun r -> r.Engine.memo_loaded)));
               ("decks", Json.Arr (List.map deck_fields multi.Engine.results));
               ("compliant",
                Json.Arr
@@ -426,28 +417,27 @@ let process t engines ?req ?trace reqj =
           let with_metrics =
             if flag "stats" then
               let result, _ = Engine.primary multi in
-              base @ [ ("metrics", embed (Metrics.to_json result.Engine.metrics)) ]
+              base @ [ ("metrics", Metrics.to_json result.Engine.metrics) ]
             else base
           in
           let with_sarif =
             if flag "sarif" then
               with_metrics
               @ [ ("sarif",
-                   embed
-                     (Sarif.of_reports ~uri
-                        ~suppressed:
-                          (List.map
-                             (fun (dr : Engine.deck_result) ->
-                               ( dr.Engine.dr_deck.Engine.dk_label,
-                                 Lint.to_violations dr.Engine.dr_suppressed ))
-                             multi.Engine.results)
-                        ~relations:merged.Multireport.relations
-                        (List.map
-                           (fun (dr : Engine.deck_result) ->
-                             ( dr.Engine.dr_deck.Engine.dk_label,
-                               dr.Engine.dr_deck.Engine.dk_rules,
-                               dr.Engine.dr_result.Engine.report ))
-                           multi.Engine.results))) ]
+                   Sarif.of_reports ~uri
+                     ~suppressed:
+                       (List.map
+                          (fun (dr : Engine.deck_result) ->
+                            ( dr.Engine.dr_deck.Engine.dk_label,
+                              Lint.to_violations dr.Engine.dr_suppressed ))
+                          multi.Engine.results)
+                     ~relations:merged.Multireport.relations
+                     (List.map
+                        (fun (dr : Engine.deck_result) ->
+                          ( dr.Engine.dr_deck.Engine.dk_label,
+                            dr.Engine.dr_deck.Engine.dk_rules,
+                            dr.Engine.dr_result.Engine.report ))
+                        multi.Engine.results)) ]
             else with_metrics
           in
           ( Json.to_string (Json.Obj (with_trace with_sarif)),
@@ -604,7 +594,7 @@ let start t =
     p.p_workers <-
       List.init t.s_workers (fun w -> Domain.spawn (worker_loop t p w));
     Telemetry.lifecycle t.s_telemetry
-      ~fields:[ ("workers", jnum t.s_workers); ("max_queue", jnum t.s_max_queue) ]
+      ~fields:[ ("workers", Json.of_int t.s_workers); ("max_queue", Json.of_int t.s_max_queue) ]
       "start");
   Mutex.unlock t.s_lock
 
@@ -669,8 +659,8 @@ let shutdown t =
       Mutex.unlock p.p_lock;
       Telemetry.lifecycle t.s_telemetry
         ~fields:
-          [ ("served", jnum served); ("cancelled", jnum cancelled);
-            ("overloaded", jnum overloaded) ]
+          [ ("served", Json.of_int served); ("cancelled", Json.of_int cancelled);
+            ("overloaded", Json.of_int overloaded) ]
         "shutdown"
     end
 
@@ -705,9 +695,9 @@ let stats t =
    overloaded refusal) carries the pool counters, so a client can see
    what the daemon did — and why it refused. *)
 let stats_fields s =
-  [ ("served", jnum s.served); ("cancelled", jnum s.cancelled);
-    ("overloaded", jnum s.overloaded); ("queued", jnum s.queued);
-    ("inflight", jnum s.inflight) ]
+  [ ("served", Json.of_int s.served); ("cancelled", Json.of_int s.cancelled);
+    ("overloaded", Json.of_int s.overloaded); ("queued", Json.of_int s.queued);
+    ("inflight", Json.of_int s.inflight) ]
 
 let shutdown_ack t id =
   let s = stats t in
@@ -753,8 +743,8 @@ let admin_reply t id req kind =
          [ ("id", id); ("ok", Json.Bool true); ("status", Json.Str "health");
            ("health", Json.Str state);
            ("uptime_s", Json.Num (Telemetry.uptime_s t.s_telemetry));
-           ("workers", jnum t.s_workers); ("queued", jnum s.queued);
-           ("inflight", jnum s.inflight) ])
+           ("workers", Json.of_int t.s_workers); ("queued", Json.of_int s.queued);
+           ("inflight", Json.of_int s.inflight) ])
   | other -> refuse id (Printf.sprintf "unknown admin request %S" other)
 
 let admin_of req = Option.bind (Json.member "admin" req) Json.str
@@ -793,8 +783,8 @@ let submit t conn line =
             p.p_overloaded <- p.p_overloaded + 1;
             let extra =
               req_field (Some seq)
-              @ [ ("served", jnum p.p_served); ("queued", jnum (Queue.length p.p_queue));
-                  ("inflight", jnum p.p_inflight) ]
+              @ [ ("served", Json.of_int p.p_served); ("queued", Json.of_int (Queue.length p.p_queue));
+                  ("inflight", Json.of_int p.p_inflight) ]
             in
             Telemetry.request_overloaded t.s_telemetry ~req:seq
               ~queued:(Queue.length p.p_queue);

@@ -55,7 +55,7 @@ let locked t f =
 (* ------------------------------------------------------------------ *)
 (* Event log                                                           *)
 
-let num n = Json.Num (float_of_int n)
+let num = Json.of_int
 let fnum f = Json.Num f
 
 (* Wall-clock, not monotonic: event-log timestamps are for humans and

@@ -72,28 +72,13 @@ let merge_into ~into src =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export                                           *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* ts/dur are microseconds in the trace-event schema: an integral
+   nanosecond count over 1e3 prints with at most three decimals, so
+   nanosecond resolution survives.  Timestamps are rebased to the
+   earliest event so the numbers stay small. *)
+let us_of_ns ns = Json.Num (Int64.to_float ns /. 1e3)
 
-(* ts/dur are microseconds in the trace-event schema; emit three
-   decimals to keep nanosecond resolution.  Timestamps are rebased to
-   the earliest event so the numbers stay small. *)
-let us_of_ns ns = Printf.sprintf "%.3f" (Int64.to_float ns /. 1e3)
-
-let to_chrome_json ?(tool_version = Version.version) t =
+let chrome ?(tool_version = Version.version) t =
   let base =
     let m = ref Int64.max_int in
     for i = 0 to t.len - 1 do
@@ -101,35 +86,24 @@ let to_chrome_json ?(tool_version = Version.version) t =
     done;
     if !m = Int64.max_int then 0L else !m
   in
-  let buf = Buffer.create (256 + (t.len * 96)) in
-  let add = Buffer.add_string buf in
-  add "{\"traceEvents\":[";
-  for i = 0 to t.len - 1 do
-    if i > 0 then add ",";
-    let e = t.events.(i) in
-    add
-      (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%s"
-         (json_escape e.e_name)
-         (json_escape (if e.e_cat = "" then "dic" else e.e_cat))
-         (match e.e_ph with `Complete -> "X" | `Instant -> "i")
-         (us_of_ns (Int64.sub e.e_ts_ns base)));
-    (match e.e_ph with
-    | `Complete -> add (Printf.sprintf ",\"dur\":%s" (us_of_ns e.e_dur_ns))
-    | `Instant -> add ",\"s\":\"t\"");
-    add (Printf.sprintf ",\"pid\":1,\"tid\":%d" e.e_tid);
-    if e.e_args <> [] then begin
-      add ",\"args\":{";
-      List.iteri
-        (fun j (k, v) ->
-          if j > 0 then add ",";
-          add (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-        e.e_args;
-      add "}"
-    end;
-    add "}"
-  done;
-  add
-    (Printf.sprintf
-       "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"tool\":\"dicheck\",\"version\":\"%s\"}}"
-       (json_escape tool_version));
-  Buffer.contents buf
+  let event e =
+    Json.Obj
+      ([ ("name", Json.Str e.e_name);
+         ("cat", Json.Str (if e.e_cat = "" then "dic" else e.e_cat));
+         ("ph", Json.Str (match e.e_ph with `Complete -> "X" | `Instant -> "i"));
+         ("ts", us_of_ns (Int64.sub e.e_ts_ns base)) ]
+      @ (match e.e_ph with
+        | `Complete -> [ ("dur", us_of_ns e.e_dur_ns) ]
+        | `Instant -> [ ("s", Json.Str "t") ])
+      @ [ ("pid", Json.of_int 1); ("tid", Json.of_int e.e_tid) ]
+      @
+      if e.e_args = [] then []
+      else [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) e.e_args)) ])
+  in
+  Json.Obj
+    [ ("traceEvents", Json.Arr (List.init t.len (fun i -> event t.events.(i))));
+      ("displayTimeUnit", Json.Str "ms");
+      ("otherData",
+       Json.Obj [ ("tool", Json.Str "dicheck"); ("version", Json.Str tool_version) ]) ]
+
+let to_chrome_json ?tool_version t = Json.to_string (chrome ?tool_version t)

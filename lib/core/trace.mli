@@ -22,7 +22,7 @@
       per domain ({!create} with that shard's [tid]) and fold them with
       {!merge_into} in shard order after the join, so the event
       sequence is deterministic for a given (design, jobs) pair.
-    - {!to_chrome_json} rebases timestamps to the earliest event;
+    - {!chrome} rebases timestamps to the earliest event;
       structure and names are reproducible, timestamps are not. *)
 
 type event = {
@@ -72,5 +72,10 @@ val merge_into : into:t -> t -> unit
     microsecond [ts]/[dur] rebased to the earliest event, [pid] 1 and
     one [tid] per shard.  Loadable in Perfetto ({:https://ui.perfetto.dev})
     and [chrome://tracing].  [tool_version] defaults to
-    {!Version.version} and is embedded in [otherData]. *)
+    {!Version.version} and is embedded in [otherData].  [dicheck serve]
+    embeds this value as a reply's [trace] member. *)
+val chrome : ?tool_version:string -> t -> Json.t
+
+(** [to_chrome_json t] is [Json.to_string (chrome t)], the text
+    [dicheck --trace] writes. *)
 val to_chrome_json : ?tool_version:string -> t -> string

@@ -148,7 +148,7 @@ let test_in_memory_session_reuse () =
 (* ------------------------------------------------------------------ *)
 (* Whole-pipeline parallelism: byte-identity across jobs               *)
 
-module Json = Tjson
+module Json = Dic.Json
 
 (* Enough distinct definitions with real element work that the
    per-definition stages genuinely fan out (stage parallelism wants at
@@ -176,19 +176,7 @@ let stats_shape m =
            kvs)
     | v -> v
   in
-  let rec render = function
-    | Json.Null -> "null"
-    | Json.Bool b -> string_of_bool b
-    | Json.Num f -> Printf.sprintf "%g" f
-    | Json.Str s -> Printf.sprintf "%S" s
-    | Json.Arr l -> "[" ^ String.concat "," (List.map render l) ^ "]"
-    | Json.Obj kvs ->
-      "{"
-      ^ String.concat ","
-          (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k (render v)) kvs)
-      ^ "}"
-  in
-  render (zero (Json.parse (Dic.Metrics.to_json m)))
+  Json.to_string (zero (Dic.Metrics.to_json m))
 
 let check_with_metrics engine file =
   let m = Dic.Metrics.create () in
@@ -203,7 +191,7 @@ let test_pipeline_bytes_across_jobs () =
     let cold, mc = check_with_metrics e file in
     let warm, mw = check_with_metrics e file in
     ( report_text cold,
-      Dic.Sarif.of_report cold.Dic.Engine.report,
+      Json.to_string (Dic.Sarif.of_report cold.Dic.Engine.report),
       stats_shape mc, report_text warm, stats_shape mw )
   in
   let r1, s1, j1, w1, jw1 = run 1 in
@@ -308,12 +296,13 @@ let test_multideck_sarif_across_jobs () =
     let m =
       multi_ok (Dic.Engine.with_jobs (Dic.Engine.create ~decks rules) jobs) file
     in
-    Dic.Sarif.of_reports
-      (List.map2
-         (fun (d : Dic.Engine.deck) (dr : Dic.Engine.deck_result) ->
-           ( d.Dic.Engine.dk_label, d.Dic.Engine.dk_rules,
-             dr.Dic.Engine.dr_result.Dic.Engine.report ))
-         decks m.Dic.Engine.results)
+    Json.to_string
+      (Dic.Sarif.of_reports
+         (List.map2
+            (fun (d : Dic.Engine.deck) (dr : Dic.Engine.deck_result) ->
+              ( d.Dic.Engine.dk_label, d.Dic.Engine.dk_rules,
+                dr.Dic.Engine.dr_result.Dic.Engine.report ))
+            decks m.Dic.Engine.results))
   in
   let base = sarif 1 in
   Alcotest.(check bool) "SARIF is substantial" true (String.length base > 100);

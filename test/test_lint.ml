@@ -334,38 +334,43 @@ let lint_report () =
 let test_sarif_deterministic_and_parses () =
   let doc1 = Dic.Sarif.of_report ~uri:"fixture.cif" (lint_report ()) in
   let doc2 = Dic.Sarif.of_report ~uri:"fixture.cif" (lint_report ()) in
-  Alcotest.(check string) "two renders agree" doc1 doc2;
-  let json = Tjson.parse doc1 in
-  let jstr = function Some (Tjson.Str s) -> s | _ -> "" in
+  Alcotest.(check string) "two renders agree" (Dic.Json.to_string doc1)
+    (Dic.Json.to_string doc2);
+  let json =
+    match Dic.Json.parse (Dic.Json.to_string doc1) with
+    | Ok v -> v
+    | Error m -> Alcotest.fail m
+  in
+  let jstr = function Some (Dic.Json.Str s) -> s | _ -> "" in
   let runs =
-    match Tjson.member "runs" json with
-    | Some (Tjson.Arr [ r ]) -> r
+    match Dic.Json.member "runs" json with
+    | Some (Dic.Json.Arr [ r ]) -> r
     | _ -> Alcotest.fail "runs"
   in
   let rules_json =
     match
-      Option.bind (Tjson.member "tool" runs) (fun t ->
-          Option.bind (Tjson.member "driver" t) (Tjson.member "rules"))
+      Option.bind (Dic.Json.member "tool" runs) (fun t ->
+          Option.bind (Dic.Json.member "driver" t) (Dic.Json.member "rules"))
     with
-    | Some (Tjson.Arr rs) -> rs
+    | Some (Dic.Json.Arr rs) -> rs
     | _ -> Alcotest.fail "rules array"
   in
   (* every SARIF rule is a lint.* id carrying the --explain text *)
   List.iter
     (fun r ->
-      let id = jstr (Tjson.member "id" r) in
+      let id = jstr (Dic.Json.member "id" r) in
       Alcotest.(check bool) ("lint prefix on " ^ id) true
         (String.length id > 5 && String.sub id 0 5 = "lint.");
       let code = String.sub id 5 (String.length id - 5) in
       let desc =
-        jstr (Option.bind (Tjson.member "shortDescription" r) (Tjson.member "text"))
+        jstr (Option.bind (Dic.Json.member "shortDescription" r) (Dic.Json.member "text"))
       in
       Alcotest.(check (option string)) ("explain " ^ code) (Dic.Lint.explain code)
         (Some desc))
     rules_json;
   let results =
-    match Tjson.member "results" runs with
-    | Some (Tjson.Arr rs) -> rs
+    match Dic.Json.member "results" runs with
+    | Some (Dic.Json.Arr rs) -> rs
     | _ -> Alcotest.fail "results"
   in
   Alcotest.(check bool) "has results" true (results <> [])

@@ -4,8 +4,7 @@
 let rules = Tech.Rules.nmos ()
 let lambda = rules.Tech.Rules.lambda
 
-(* The shared minimal JSON reader lives in Tjson. *)
-module Json = Tjson
+module Json = Dic.Json
 
 (* ------------------------------------------------------------------ *)
 
@@ -18,8 +17,11 @@ let workload () = Layoutgen.Cells.grid ~lambda ~nx:4 ~ny:4
 
 let test_json_roundtrip () =
   let result = run_ok (workload ()) in
-  let json = Dic.Metrics.to_json result.Dic.Engine.metrics in
-  let v = try Json.parse json with Json.Bad m -> Alcotest.fail ("bad JSON: " ^ m) in
+  let v = Dic.Metrics.to_json result.Dic.Engine.metrics in
+  (* The printed document parses back to the same value. *)
+  (match Json.parse (Json.to_string v) with
+  | Ok back -> Alcotest.(check bool) "print/parse round trip" true (back = v)
+  | Error m -> Alcotest.fail ("bad JSON: " ^ m));
   (* Stages: present, in pipeline order, with non-negative seconds. *)
   (match Json.member "stages" v with
   | Some (Json.Arr stages) ->
@@ -85,8 +87,8 @@ let test_canonical () =
     Dic.Metrics.add_stage_seconds m "s1" 0.25;
     m
   in
-  Alcotest.(check string) "canonical" (Dic.Metrics.to_json (mk ()))
-    (Dic.Metrics.to_json (mk ()))
+  Alcotest.(check string) "canonical" (Json.to_string (Dic.Metrics.to_json (mk ())))
+    (Json.to_string (Dic.Metrics.to_json (mk ())))
 
 let test_counter_invariants () =
   let m = Dic.Metrics.create () in
@@ -202,20 +204,20 @@ let test_window_merge () =
     (fun sh -> Dic.Metrics.merge_into ~into:again sh)
     [ shard [ 2.; 3.; 4. ]; shard [ 5. ] ];
   Alcotest.(check string) "deterministic across merges"
-    (Dic.Metrics.to_json into) (Dic.Metrics.to_json again)
+    (Json.to_string (Dic.Metrics.to_json into)) (Json.to_string (Dic.Metrics.to_json again))
 
 let test_gauge_window_json () =
   (* gauges/windows members are always present (canonical shape), carry
      the observed values, and the engine's cache.hit_ratio gauge lands
      in the run metrics. *)
   let m = Dic.Metrics.create () in
-  let v = Json.parse (Dic.Metrics.to_json m) in
+  let v = Dic.Metrics.to_json m in
   (match (Json.member "gauges" v, Json.member "windows" v) with
   | Some (Json.Obj []), Some (Json.Obj []) -> ()
   | _ -> Alcotest.fail "empty state must render empty gauges/windows objects");
   Dic.Metrics.set_gauge m "g" 0.5;
   Dic.Metrics.observe_window m "w" 2.;
-  let v = Json.parse (Dic.Metrics.to_json m) in
+  let v = Dic.Metrics.to_json m in
   (match Json.member "gauges" v with
   | Some (Json.Obj [ ("g", Json.Num f) ]) ->
     Alcotest.(check (float 0.)) "gauge value" 0.5 f
@@ -228,7 +230,7 @@ let test_gauge_window_json () =
       [ "capacity"; "count"; "len"; "mean"; "max"; "p50"; "p95"; "p99" ]
   | _ -> Alcotest.fail "window missing from JSON");
   let result = run_ok (workload ()) in
-  match Json.member "gauges" (Json.parse (Dic.Metrics.to_json result.Dic.Engine.metrics)) with
+  match Json.member "gauges" (Dic.Metrics.to_json result.Dic.Engine.metrics) with
   | Some (Json.Obj kvs) ->
     Alcotest.(check bool) "engine records cache.hit_ratio" true
       (List.mem_assoc "cache.hit_ratio" kvs)

@@ -690,15 +690,12 @@ let test_event_log_reconciliation () =
   Alcotest.(check int) "one shutdown" 1 (count "shutdown");
   (* The daemon-level trace collected something, starting from the
      queued span. *)
-  (match Dic.Json.parse (Dic.Trace.to_chrome_json (Dic.Telemetry.merged_trace telemetry)) with
-  | Ok doc -> (
-    match jmem "traceEvents" doc with
-    | Some (Dic.Json.Arr evs) ->
-      Alcotest.(check bool) "merged trace is non-empty" true (evs <> []);
-      Alcotest.(check bool) "merged trace has queued spans" true
-        (List.exists (fun e -> jstr "name" e = Some "queued") evs)
-    | _ -> Alcotest.fail "merged trace lost traceEvents")
-  | Error e -> Alcotest.failf "merged trace is not JSON: %s" e)
+  match jmem "traceEvents" (Dic.Trace.chrome (Dic.Telemetry.merged_trace telemetry)) with
+  | Some (Dic.Json.Arr evs) ->
+    Alcotest.(check bool) "merged trace is non-empty" true (evs <> []);
+    Alcotest.(check bool) "merged trace has queued spans" true
+      (List.exists (fun e -> jstr "name" e = Some "queued") evs)
+  | _ -> Alcotest.fail "merged trace lost traceEvents"
 
 (* The determinism bar with everything on: event log, trace collection,
    slow threshold 0, and per-request trace embedding — report bytes

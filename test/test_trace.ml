@@ -4,7 +4,7 @@
 let rules = Tech.Rules.nmos ()
 let lambda = rules.Tech.Rules.lambda
 
-module Json = Tjson
+module Json = Dic.Json
 
 let run_ok ?config ?trace src =
   match Result.map Dic.Engine.primary @@ Dic.Engine.check_string ?trace (Dic.Engine.create ?config rules) src with
@@ -165,8 +165,11 @@ let test_stage_parallel_shape () =
 let test_chrome_json_parses () =
   let trace = Dic.Trace.create () in
   let _ = run_ok ~config:(with_jobs 2) ~trace (fig8_src ()) in
-  let json = Dic.Trace.to_chrome_json trace in
-  let v = try Json.parse json with Json.Bad m -> Alcotest.fail ("bad JSON: " ^ m) in
+  let v =
+    match Json.parse (Dic.Trace.to_chrome_json trace) with
+    | Ok v -> v
+    | Error m -> Alcotest.fail ("bad JSON: " ^ m)
+  in
   (match Json.member "traceEvents" v with
   | Some (Json.Arr events) ->
     Alcotest.(check int) "one JSON event per recorded event"
@@ -240,100 +243,75 @@ let test_parse_locations_reach_report () =
 let test_sarif_structure () =
   let src = fig8_src () in
   let r = run_ok src in
-  let sarif = Dic.Sarif.of_report ~uri:"fig8.cif" r.Dic.Engine.report in
-  let v = try Json.parse sarif with Json.Bad m -> Alcotest.fail ("bad JSON: " ^ m) in
-  (match Json.member "version" v with
-  | Some (Json.Str ver) -> Alcotest.(check string) "sarif version" "2.1.0" ver
-  | _ -> Alcotest.fail "no version");
-  let run =
-    match Json.member "runs" v with
-    | Some (Json.Arr [ run ]) -> run
-    | _ -> Alcotest.fail "expected exactly one run"
+  (* One extra violation whose message and context need every kind of
+     escape: quote, backslash, newline and two other control bytes. *)
+  let odd = "say \"hi\" C:\\dir\nbs\bsoh\001" in
+  let report =
+    { Dic.Report.violations =
+        Dic.Report.error ~stage:Dic.Report.Elements ~rule:"width.ND" ~context:odd odd
+        :: r.Dic.Engine.report.Dic.Report.violations }
   in
+  let v =
+    match Json.parse (Json.to_string (Dic.Sarif.of_report ~uri:"fig8.cif" report)) with
+    | Ok v -> Some v
+    | Error m -> Alcotest.fail ("bad JSON: " ^ m)
+  in
+  let ( |. ) j k = Option.bind j (Json.member k) in
+  let str what = function Some (Json.Str s) -> s | _ -> Alcotest.fail ("no string " ^ what) in
+  let arr what = function Some (Json.Arr l) -> l | _ -> Alcotest.fail ("no array " ^ what) in
+  let only what = function
+    | Some (Json.Arr [ x ]) -> Some x
+    | _ -> Alcotest.fail ("expected exactly one " ^ what)
+  in
+  Alcotest.(check string) "sarif version" "2.1.0" (str "version" (v |. "version"));
+  let run = only "run" (v |. "runs") in
   (* Driver: name, version, sorted rules. *)
-  let driver =
-    match Json.member "tool" run with
-    | Some tool -> (
-      match Json.member "driver" tool with
-      | Some d -> d
-      | None -> Alcotest.fail "no driver")
-    | None -> Alcotest.fail "no tool"
-  in
-  (match (Json.member "name" driver, Json.member "version" driver) with
-  | Some (Json.Str n), Some (Json.Str ver) ->
-    Alcotest.(check string) "driver name" "dicheck" n;
-    Alcotest.(check string) "driver version" Dic.Version.version ver
-  | _ -> Alcotest.fail "driver missing name/version");
+  let driver = run |. "tool" |. "driver" in
+  Alcotest.(check string) "driver name" "dicheck" (str "name" (driver |. "name"));
+  Alcotest.(check string) "driver version" Dic.Version.version
+    (str "version" (driver |. "version"));
   let rule_ids =
-    match Json.member "rules" driver with
-    | Some (Json.Arr rules) ->
-      List.map
-        (fun r ->
-          match Json.member "id" r with
-          | Some (Json.Str id) -> id
-          | _ -> Alcotest.fail "rule without id")
-        rules
-    | _ -> Alcotest.fail "no rules array"
+    List.map (fun r -> str "rule id" (Some r |. "id")) (arr "rules" (driver |. "rules"))
   in
   Alcotest.(check (list string)) "rules sorted by id"
     (List.sort String.compare rule_ids) rule_ids;
   (* Results: every violation appears; the fig8 error carries a region
      and a logical location. *)
-  let results =
-    match Json.member "results" run with
-    | Some (Json.Arr rs) -> rs
-    | _ -> Alcotest.fail "no results array"
-  in
+  let results = arr "results" (run |. "results") in
   Alcotest.(check int) "one result per violation"
-    (List.length r.Dic.Engine.report.Dic.Report.violations)
+    (List.length report.Dic.Report.violations)
     (List.length results);
+  (* Reports accumulate reversed, so the added violation is the last
+     result; its strings survive printing and parsing byte for byte. *)
+  let last = Some (List.nth results (List.length results - 1)) in
+  Alcotest.(check string) "escaped message round-trips" odd
+    (str "message" (last |. "message" |. "text"));
+  Alcotest.(check string) "escaped context round-trips" odd
+    (str "path"
+       (only "logical location" (only "location" (last |. "locations") |. "logicalLocations")
+       |. "fullyQualifiedName"));
   let accidental =
     List.find_opt
-      (fun res ->
-        match Json.member "ruleId" res with
-        | Some (Json.Str id) -> id = "integrity.accidental-transistor"
-        | _ -> false)
+      (fun res -> Some res |. "ruleId" = Some (Json.Str "integrity.accidental-transistor"))
       results
   in
-  match accidental with
-  | None -> Alcotest.fail "fig8 violation missing from SARIF"
-  | Some res -> (
-    (match Json.member "level" res with
-    | Some (Json.Str lvl) -> Alcotest.(check string) "level" "error" lvl
-    | _ -> Alcotest.fail "no level");
-    match Json.member "locations" res with
-    | Some (Json.Arr [ loc ]) -> (
-      (match Json.member "physicalLocation" loc with
-      | Some phys -> (
-        (match Json.member "artifactLocation" phys with
-        | Some art -> (
-          match Json.member "uri" art with
-          | Some (Json.Str uri) -> Alcotest.(check string) "uri" "fig8.cif" uri
-          | _ -> Alcotest.fail "no uri")
-        | None -> Alcotest.fail "no artifactLocation");
-        match Json.member "region" phys with
-        | Some region -> (
-          match Json.member "startLine" region with
-          | Some (Json.Num line) ->
-            Alcotest.(check bool) "startLine positive" true (line >= 1.)
-          | _ -> Alcotest.fail "region without startLine")
-        | None -> Alcotest.fail "fig8 error lost its CIF region")
-      | None -> Alcotest.fail "no physicalLocation");
-      match Json.member "logicalLocations" loc with
-      | Some (Json.Arr [ logical ]) -> (
-        match Json.member "fullyQualifiedName" logical with
-        | Some (Json.Str fq) ->
-          Alcotest.(check string) "instance path" "TOP" fq
-        | _ -> Alcotest.fail "no fullyQualifiedName")
-      | _ -> Alcotest.fail "no logicalLocations")
-    | _ -> Alcotest.fail "expected one location")
+  if accidental = None then Alcotest.fail "fig8 violation missing from SARIF";
+  Alcotest.(check string) "level" "error" (str "level" (accidental |. "level"));
+  let loc = only "location" (accidental |. "locations") in
+  let phys = loc |. "physicalLocation" in
+  Alcotest.(check string) "uri" "fig8.cif" (str "uri" (phys |. "artifactLocation" |. "uri"));
+  (match phys |. "region" |. "startLine" with
+  | Some (Json.Num line) -> Alcotest.(check bool) "startLine positive" true (line >= 1.)
+  | _ -> Alcotest.fail "fig8 error lost its CIF region");
+  Alcotest.(check string) "instance path" "TOP"
+    (str "path" (only "logical location" (loc |. "logicalLocations") |. "fullyQualifiedName"))
 
 let test_sarif_deterministic () =
   let src = fig8_src () in
   let a = run_ok src and b = run_ok src in
   Alcotest.(check string) "equal reports render identically"
-    (Dic.Sarif.of_report ~uri:"x.cif" a.Dic.Engine.report)
-    (Dic.Sarif.of_report ~uri:"x.cif" b.Dic.Engine.report)
+    (Json.to_string (Dic.Sarif.of_report ~uri:"x.cif" a.Dic.Engine.report))
+    (Json.to_string (Dic.Sarif.of_report ~uri:"x.cif" b.Dic.Engine.report))
 
 (* ------------------------------------------------------------------ *)
 (* Cost attribution                                                    *)
