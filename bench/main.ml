@@ -969,10 +969,8 @@ let serve_bench () =
      reply's report matched the one-shot bytes)";
   let src = Cif.Print.to_string (Layoutgen.Cells.grid ~lambda ~nx:4 ~ny:4) in
   let expected =
-    match Result.map Dic.Engine.primary @@ Dic.Engine.check_string (Dic.Engine.create rules) src with
-    | Ok (result, _) ->
-      Format.asprintf "%a@." Dic.Report.pp result.Dic.Engine.report
-      ^ Format.asprintf "%a@." Dic.Engine.pp_summary result
+    match Dic.Engine.check_string (Dic.Engine.create rules) src with
+    | Ok multi -> Dic.Engine.render ~view:`Single multi
     | Error e -> failwith e
   in
   let cache_dir = Filename.temp_file "dic_bench_serve" "" in
@@ -1445,13 +1443,8 @@ let deckcheck_bench () =
         let m = Dic.Metrics.create () in
         let bytes_, t =
           wall (fun () ->
-              match
-                Result.map Dic.Engine.primary
-                @@ Dic.Engine.check ~metrics:m (Dic.Engine.create rules) file
-              with
-              | Ok (r, _) ->
-                Format.asprintf "%a@." Dic.Report.pp r.Dic.Engine.report
-                ^ Format.asprintf "%a@." Dic.Engine.pp_summary r
+              match Dic.Engine.check ~metrics:m (Dic.Engine.create rules) file with
+              | Ok multi -> Dic.Engine.render ~view:`Single multi
               | Error e -> failwith e)
         in
         (bytes_, t, m))

@@ -43,15 +43,6 @@ let load_rules ~lambda rules_file =
 (* ------------------------------------------------------------------ *)
 (* check                                                               *)
 
-(* Exit policy of one deck's report; a multi-deck check exits with the
-   worst deck's code. *)
-let deck_exit ~werror ~lint_werror (report : Dic.Report.t) =
-  let count sev = Dic.Report.count ~severity:sev report in
-  if count Dic.Report.Error > 0 then 1
-  else if werror && count Dic.Report.Warning > 0 then 1
-  else if lint_werror && Dic.Report.by_rule_prefix report "lint." <> [] then 1
-  else 0
-
 let run_dic ~show_netlist ~show_stats ~show_structure ~check_same_net ~expect ~markers
     ~jobs ~cache ~stats_json ~trace_out ~sarif_out ~top_cost ~progress ~werror ~lint
     ~lint_werror ~input decks src =
@@ -91,9 +82,10 @@ let run_dic ~show_netlist ~show_stats ~show_structure ~check_same_net ~expect ~m
       2
     | Ok multi ->
       let result, _reuse = Dic.Engine.primary multi in
-      let single =
-        match multi.Dic.Engine.results with [ _ ] -> true | _ -> false
-      in
+      (* A single deck prints exactly the historical report; several
+         decks print the merged view with deck-membership annotations
+         and the compliant-intersection verdict. *)
+      let view = match multi.Dic.Engine.results with [ _ ] -> `Single | _ -> `Merged in
       (* When any structured output claims stdout, the human report
          moves to stderr so the JSON stream stays parseable. *)
       let on_stdout = function Some "-" -> true | _ -> false in
@@ -102,17 +94,7 @@ let run_dic ~show_netlist ~show_stats ~show_structure ~check_same_net ~expect ~m
           Format.err_formatter
         else Format.std_formatter
       in
-      (* A single deck prints exactly the historical report; several
-         decks print the merged view with deck-membership annotations
-         and the compliant-intersection verdict. *)
-      if single then begin
-        Format.fprintf out "%a@." Dic.Report.pp result.Dic.Engine.report;
-        Format.fprintf out "%a@." Dic.Engine.pp_summary result
-      end
-      else begin
-        Format.fprintf out "%a@." Dic.Multireport.pp multi.Dic.Engine.merged;
-        Format.fprintf out "%a@." Dic.Multireport.pp_summary multi.Dic.Engine.merged
-      end;
+      Format.fprintf out "%s@?" (Dic.Engine.render ~view multi);
       (* Reuse goes to stderr: a warm run's stdout must stay
          byte-identical to the cold run's. *)
       if cache <> None then
@@ -121,8 +103,9 @@ let run_dic ~show_netlist ~show_stats ~show_structure ~check_same_net ~expect ~m
             let reuse = dr.Dic.Engine.dr_reuse in
             Printf.eprintf
               "[dicheck] cache%s: %d/%d definition(s) reused (%d from disk), %d memo entr%s loaded\n"
-              (if single then ""
-               else "[" ^ dr.Dic.Engine.dr_deck.Dic.Engine.dk_label ^ "]")
+              (match view with
+              | `Single -> ""
+              | `Merged -> "[" ^ dr.Dic.Engine.dr_deck.Dic.Engine.dk_label ^ "]")
               reuse.Dic.Engine.symbols_reused reuse.Dic.Engine.symbols_total
               reuse.Dic.Engine.defs_from_disk reuse.Dic.Engine.memo_loaded
               (if reuse.Dic.Engine.memo_loaded = 1 then "y" else "ies"))
@@ -149,8 +132,9 @@ let run_dic ~show_netlist ~show_stats ~show_structure ~check_same_net ~expect ~m
         (* Multi-deck markers cover the merged view: every violation any
            deck flagged, once. *)
         let marker_report =
-          if single then result.Dic.Engine.report
-          else
+          match view with
+          | `Single -> result.Dic.Engine.report
+          | `Merged ->
             { Dic.Report.violations =
                 List.rev_map
                   (fun (e : Dic.Multireport.entry) -> e.Dic.Multireport.violation)
@@ -168,36 +152,8 @@ let run_dic ~show_netlist ~show_stats ~show_structure ~check_same_net ~expect ~m
       | None -> ()
       | Some path ->
         let uri = if input = "-" then "stdin" else input in
-        (* Waived lint findings ride along as suppressed results, and a
-           deck set carries its pairwise relations, as in serve's
-           [sarif] member. *)
-        let suppressed (dr : Dic.Engine.deck_result) =
-          Dic.Lint.to_violations dr.Dic.Engine.dr_suppressed
-        in
-        write_json path
-          (match multi.Dic.Engine.results with
-          | [ dr ] ->
-            Dic.Sarif.of_report ~uri ~suppressed:(suppressed dr)
-              dr.Dic.Engine.dr_result.Dic.Engine.report
-          | drs ->
-            Dic.Sarif.of_reports ~uri
-              ~suppressed:
-                (List.map
-                   (fun (dr : Dic.Engine.deck_result) ->
-                     (dr.Dic.Engine.dr_deck.Dic.Engine.dk_label, suppressed dr))
-                   drs)
-              ~relations:multi.Dic.Engine.merged.Dic.Multireport.relations
-              (List.map
-                 (fun (dr : Dic.Engine.deck_result) ->
-                   ( dr.Dic.Engine.dr_deck.Dic.Engine.dk_label,
-                     dr.Dic.Engine.dr_deck.Dic.Engine.dk_rules,
-                     dr.Dic.Engine.dr_result.Dic.Engine.report ))
-                 drs)));
-      List.fold_left
-        (fun acc (dr : Dic.Engine.deck_result) ->
-          max acc
-            (deck_exit ~werror ~lint_werror dr.Dic.Engine.dr_result.Dic.Engine.report))
-        0 multi.Dic.Engine.results)
+        write_json path (Dic.Engine.sarif ~view ~uri multi));
+      Dic.Engine.exit_code ~werror ~lint_werror multi)
 
 let run_flat ~metric ~poly_diff ~width_algorithm rules src =
   match Cif.Parse.file src with

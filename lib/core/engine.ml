@@ -237,10 +237,6 @@ let with_jobs t jobs =
   with_config t
     { t.e_config with interactions = { t.e_config.interactions with Interactions.jobs = jobs } }
 
-let with_metric t metric =
-  with_config t
-    { t.e_config with interactions = { t.e_config.interactions with Interactions.metric } }
-
 let with_same_net t check_same_net =
   with_config t
     { t.e_config with
@@ -254,7 +250,6 @@ let with_spacing_model t spacing_model =
 let with_erc t run_erc = with_config t { t.e_config with run_erc }
 let with_lint t run_lint = with_config t { t.e_config with run_lint }
 let with_expected_netlist t expected_netlist = with_config t { t.e_config with expected_netlist }
-let with_relational t relational = with_config t { t.e_config with relational }
 
 let subtbl tbl env =
   match Hashtbl.find_opt tbl env with
@@ -279,7 +274,113 @@ let slot_for t rules =
     s
 
 (* ------------------------------------------------------------------ *)
-(* Checking                                                            *)
+(* The lint layer                                                      *)
+
+(* One deck's static lint outcome: the diagnostics its report keeps, as
+   [lint.*] violations, and the ones its waivers suppressed. *)
+type deck_lint = {
+  dl_kept : Report.violation list;
+  dl_suppressed : Lint.diagnostic list;
+}
+
+(* Every deck's outcome when lint is off. *)
+let no_lint = { dl_kept = []; dl_suppressed = [] }
+
+(* Static lints run before any geometry: one deck pass per deck, one
+   design pass (syntax tree + model) shared by all.
+
+   The model pass is per-definition, so warm sessions replay it from the
+   fingerprint-keyed table instead of re-eroding every skeleton.  The
+   syntax-tree pass stays live: duplicate ids, cycles and unreachability
+   are facts about the raw tree that elaboration erases — no
+   per-definition fingerprint can address them — and the walk is cheap.
+
+   Waivers filter at reporting time only: the cached per-definition
+   lists stay unfiltered, and a waiver change never splits the cache
+   (waivers are excluded from the deck's canonical text, like
+   [key_positions]).  The [lint.*] counters describe the primary
+   deck. *)
+let lint_decks t m file model fps =
+  let lints = lints_for t t.e_env in
+  let replayed = ref 0 in
+  let model_diags =
+    Lint.sort
+      (List.concat_map
+         (fun ((s : Model.symbol), fp) ->
+           match Hashtbl.find_opt lints fp with
+           | Some ds ->
+             incr replayed;
+             ds
+           | None ->
+             let ds = Lint.check_model_symbol model s in
+             Hashtbl.replace lints fp ds;
+             ds)
+         fps)
+  in
+  Metrics.incr ~by:!replayed m "lint.defs_replayed";
+  Metrics.incr ~by:(List.length fps - !replayed) m "lint.defs_computed";
+  let design = Lint.check_ast file @ model_diags in
+  List.mapi
+    (fun i d ->
+      let diags =
+        Lint.sort (Lint.check_deck d.dk_rules @ Deckcheck.check_deck d.dk_rules @ design)
+      in
+      let waivers = d.dk_rules.Tech.Rules.waivers @ file.Cif.Ast.waivers in
+      let kept, suppressed = Lint.partition_waived ~waivers diags in
+      if i = 0 then begin
+        Lint.record_metrics m kept;
+        Metrics.incr ~by:(List.length suppressed) m "lint.suppressed"
+      end;
+      { dl_kept = Lint.to_violations kept; dl_suppressed = suppressed })
+    t.e_decks
+
+(* ------------------------------------------------------------------ *)
+(* Certificates                                                        *)
+
+(* Static immunity certificates: one bundle of geometric facts per
+   definition, cached across checks under the subtree fingerprint
+   exactly like lint diags.  Deck-free and config-free, so every deck
+   of the run consults the same table.  [None] — certificates off —
+   under DIC_NO_CERTS (the identity smokes) and under the exposure
+   spacing model, whose verdicts drawn-gap bounds cannot certify.
+   Otherwise the certificate lookup by symbol id.  Charged to
+   [analysis.certify] rather than a stage of its own so the stage
+   sequence keeps its shape. *)
+let certify t m (model : Model.t) subtree =
+  let geometric =
+    match t.e_config.interactions.Interactions.spacing_model with
+    | Interactions.Geometric -> true
+    | Interactions.Exposure _ -> false
+  in
+  if not (Deckcheck.enabled () && geometric) then None
+  else begin
+    let t0 = Metrics.now_ns () in
+    let by_sid = Hashtbl.create 64 in
+    let computed = ref 0 and replayed = ref 0 in
+    List.iter
+      (fun (s : Model.symbol) ->
+        let fp = Hashtbl.find subtree s.Model.sid in
+        let cert =
+          match Hashtbl.find_opt t.e_certs fp with
+          | Some c ->
+            incr replayed;
+            c
+          | None ->
+            let c = Deckcheck.certify ~lookup:(fun sid -> Hashtbl.find_opt by_sid sid) s in
+            incr computed;
+            Hashtbl.replace t.e_certs fp c;
+            c
+        in
+        Hashtbl.replace by_sid s.Model.sid cert)
+      model.Model.symbols;
+    Metrics.incr ~by:!computed m "analysis.certs_computed";
+    Metrics.incr ~by:!replayed m "analysis.certs_replayed";
+    Metrics.add_cost_ns m "analysis.certify" (Int64.sub (Metrics.now_ns ()) t0);
+    Some (fun sid -> Hashtbl.find_opt by_sid sid)
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Interaction memo slots                                              *)
 
 (* Invalidate memoised instance pairs whose definition subtree changed
    since the previous check, then pull in any surviving entries from
@@ -366,13 +467,34 @@ let save_slot t trace subtree slot =
         slot.ms_disk <- Some entries;
         Cache.store_memo cache ~env:slot.ms_env entries)
 
-(* Distinct memo slots of the current deck list, in first-use order;
-   decks agreeing on [memo_env_key] share a slot. *)
-let distinct_slots slots_by_deck =
-  List.rev
-    (List.fold_left
-       (fun acc s -> if List.memq s acc then acc else s :: acc)
-       [] slots_by_deck)
+(* One deck's interaction memo for this check.  Decks agreeing on
+   [memo_env_key] share one slot; the first of them refreshes and saves
+   it and is credited with the entries imported from disk, so totals
+   across decks match what actually moved. *)
+type deck_memo = {
+  mm_slot : memo_slot;
+  mm_first : bool;  (* the first deck of the set using [mm_slot] *)
+  mm_loaded : int;  (* entries imported from disk; 0 unless [mm_first] *)
+}
+
+let refresh_memos t m trace subtree =
+  let seen = ref [] in
+  let memos =
+    List.map
+      (fun d ->
+        let slot = slot_for t d.dk_rules in
+        let first = not (List.memq slot !seen) in
+        if first then seen := slot :: !seen;
+        { mm_slot = slot; mm_first = first;
+          mm_loaded = (if first then refresh_slot t trace subtree slot else 0) })
+      t.e_decks
+  in
+  Metrics.incr ~by:(List.fold_left (fun acc mm -> acc + mm.mm_loaded) 0 memos) m
+    "cache.memo_loaded";
+  memos
+
+let save_memos t trace subtree memos =
+  List.iter (fun mm -> if mm.mm_first then save_slot t trace subtree mm.mm_slot) memos
 
 (* ------------------------------------------------------------------ *)
 (* The per-definition layer                                            *)
@@ -549,252 +671,150 @@ let store_definitions t trace lookups =
             lk.lk_slots)
         lookups)
 
+(* ------------------------------------------------------------------ *)
+(* The interaction layer                                               *)
+
+(* Each deck's interaction sweep, in deck order.  The sweep diverges per
+   deck, but its worklist — the expensive plan — depends only on the
+   candidate cutoff, so decks agreeing on [max_dist] share one plan (as
+   they share their memo slot). *)
+let judge_interactions t m trace certs memos nets =
+  let plans = Hashtbl.create 4 in
+  let plan_for rules =
+    let dmax = Interactions.max_dist rules in
+    match Hashtbl.find_opt plans dmax with
+    | Some p -> p
+    | None ->
+      let p = Interactions.plan ~dmax nets in
+      Hashtbl.add plans dmax p;
+      p
+  in
+  List.map2
+    (fun d mm ->
+      let certs = Option.map (fun cert_of -> Deckcheck.consult ~cert_of d.dk_rules) certs in
+      Interactions.run ~config:t.e_config.interactions ~rules:d.dk_rules
+        ~memo:mm.mm_slot.ms_memo ~metrics:m ?trace ?certs (plan_for d.dk_rules))
+    t.e_decks memos
+
+(* ------------------------------------------------------------------ *)
+(* Report assembly                                                     *)
+
+(* One report per deck, in stage order, plus the merged view.  Lint, the
+   per-definition lists and the interaction verdicts are the deck's own;
+   the parse, connection, electrical and net-list findings and the
+   locality note are shared by every deck. *)
+let assemble t m model nets netlist ~parse ~lints ~lookups ~memos ~connection
+    ~interactions ~electrical ~consistency =
+  let local, crossing = Netgen.locality nets in
+  let locality =
+    Report.info ~stage:Report.Netlist_gen ~rule:"netlist.locality" ~context:"TOP"
+      (Printf.sprintf "%d net(s) local to one definition, %d crossing boundaries" local
+         crossing)
+  in
+  let deck_result (lint, lk) (mm, (interaction_issues, interaction_stats)) =
+    let from_slots field = List.concat_map field lk.lk_slots in
+    let report =
+      { Report.violations =
+          lint.dl_kept @ parse
+          @ from_slots (fun sl -> sl.sl_el)
+          @ from_slots (fun sl -> sl.sl_dv)
+          @ from_slots (fun sl -> sl.sl_rel)
+          @ connection @ interaction_issues @ electrical @ consistency @ [ locality ] }
+    in
+    { dr_deck = lk.lk_deck;
+      dr_result = { report; netlist; interaction_stats; metrics = m; model; nets };
+      dr_reuse =
+        { symbols_total = List.length lk.lk_slots;
+          symbols_reused = lk.lk_reused;
+          defs_from_disk = lk.lk_from_disk;
+          memo_loaded = mm.mm_loaded };
+      dr_suppressed = lint.dl_suppressed }
+  in
+  let results =
+    List.map2 deck_result (List.combine lints lookups) (List.combine memos interactions)
+  in
+  (* Pairwise subsumption verdicts (R015) live only in the merged view:
+     injecting them into per-deck reports would break the "each deck's
+     report is byte-identical to that deck checked alone" invariant. *)
+  let relations =
+    match t.e_decks with
+    | _ :: _ :: _ when t.e_config.run_lint ->
+      Deckcheck.relation_lines (List.map (fun d -> (d.dk_label, d.dk_rules)) t.e_decks)
+    | _ -> []
+  in
+  let merged =
+    Multireport.make ~relations
+      (List.map (fun dr -> (dr.dr_deck.dk_label, dr.dr_result.report)) results)
+  in
+  Metrics.count_report m (List.hd results).dr_result.report;
+  { results; merged }
+
+(* ------------------------------------------------------------------ *)
+(* Checking                                                            *)
+
+(* The Fig 10 pipeline, one named layer per step.  Each stage is
+   announced to [progress], timed into the metrics, and recorded as a
+   ["stage"]-category trace span — one wrapper, so the three views
+   always agree on stage names.  With several decks the per-deck work
+   loops {e inside} each stage, so the stage sequence — and, for the
+   primary deck, the report bytes — are identical to a single-deck
+   run. *)
 let check ?metrics ?trace ?progress t file =
   let m = match metrics with Some m -> m | None -> Metrics.create () in
-  let decks = t.e_decks in
-  let prim = List.hd decks in
-  let tick name = match progress with None -> () | Some f -> f name in
-  (* Each stage is announced to [progress], timed into the metrics, and
-     recorded as a ["stage"]-category trace span — one wrapper so the
-     three views always agree on stage names.  With several decks the
-     per-deck work loops {e inside} each stage, so the stage sequence —
-     and, for the primary deck, the report bytes — are identical to a
-     single-deck run. *)
   let timed name f =
-    tick name;
+    Option.iter (fun f -> f name) progress;
     Trace.with_span trace ~cat:"stage" name (fun () -> Metrics.time_stage m name f)
   in
-  match timed "elaborate" (fun () -> Model.elaborate prim.dk_rules file) with
+  match timed "elaborate" (fun () -> Model.elaborate (rules t) file) with
   | Error e -> Error e
-  | Ok (model, parse_issues) ->
+  | Ok (model, parse) ->
     Metrics.incr ~by:(Model.symbol_count model) m "model.symbols";
     Metrics.incr ~by:(Model.definition_elements model) m "model.definition_elements";
     Metrics.incr ~by:(Model.instantiated_elements model) m "model.instantiated_elements";
     (* Definition fingerprints are deck-independent and computed once;
-       they address the session caches for both the lint pass below and
-       the per-definition check sweeps. *)
-    let fps =
-      List.map (fun (s : Model.symbol) -> (s, fingerprint s)) model.Model.symbols
-    in
-    (* Static lints run before any geometry: one deck pass per deck,
-       one design pass (syntax tree + model) shared by all.  Off by
-       default so the default report bytes are untouched.
-
-       The model pass is per-definition, so warm sessions replay it
-       from the fingerprint-keyed table instead of re-eroding every
-       skeleton.  The syntax-tree pass stays live: duplicate ids,
-       cycles and unreachability are facts about the raw tree that
-       elaboration erases — no per-definition fingerprint can address
-       them — and the walk is cheap. *)
-    let lint_by_deck =
-      if not t.e_config.run_lint then List.map (fun _ -> ([], [])) decks
-      else
-        timed "lint" (fun () ->
-            let lints = lints_for t t.e_env in
-            let replayed = ref 0 in
-            let model_diags =
-              Lint.sort
-                (List.concat_map
-                   (fun ((s : Model.symbol), fp) ->
-                     match Hashtbl.find_opt lints fp with
-                     | Some ds ->
-                       incr replayed;
-                       ds
-                     | None ->
-                       let ds = Lint.check_model_symbol model s in
-                       Hashtbl.replace lints fp ds;
-                       ds)
-                   fps)
-            in
-            Metrics.incr ~by:!replayed m "lint.defs_replayed";
-            Metrics.incr ~by:(List.length fps - !replayed) m "lint.defs_computed";
-            let design = Lint.check_ast file @ model_diags in
-            (* Waivers filter at reporting time only: the cached
-               per-definition lists above stay unfiltered, and a
-               waiver change never splits the cache (waivers are
-               excluded from the deck's canonical text, like
-               [key_positions]). *)
-            List.mapi
-              (fun i d ->
-                let diags =
-                  Lint.sort
-                    (Lint.check_deck d.dk_rules
-                    @ Deckcheck.check_deck d.dk_rules
-                    @ design)
-                in
-                let waivers = d.dk_rules.Tech.Rules.waivers @ file.Cif.Ast.waivers in
-                let kept, suppressed = Lint.partition_waived ~waivers diags in
-                if i = 0 then begin
-                  Lint.record_metrics m kept;
-                  Metrics.incr ~by:(List.length suppressed) m "lint.suppressed"
-                end;
-                (Lint.to_violations kept, suppressed))
-              decks)
+       they address the session caches of both the lint pass and the
+       per-definition sweeps. *)
+    let fps = List.map (fun (s : Model.symbol) -> (s, fingerprint s)) model.Model.symbols in
+    (* Off by default, so the default report bytes are untouched. *)
+    let lints =
+      if t.e_config.run_lint then timed "lint" (fun () -> lint_decks t m file model fps)
+      else List.map (fun _ -> no_lint) t.e_decks
     in
     let subtree = subtree_fingerprints model in
-    (* Static immunity certificates: one bundle of geometric facts per
-       definition, cached across checks under the subtree fingerprint
-       exactly like lint diags.  Deck-free and config-free, so every
-       deck of the run consults the same table.  Disabled wholesale
-       under DIC_NO_CERTS (the identity smokes) and under the exposure
-       spacing model, whose verdicts drawn-gap bounds cannot certify.
-       Charged to [analysis.certify] rather than a stage of its own so
-       the stage sequence keeps its shape. *)
-    let geometric =
-      match t.e_config.interactions.Interactions.spacing_model with
-      | Interactions.Geometric -> true
-      | Interactions.Exposure _ -> false
-    in
-    let cert_lookup =
-      if not (Deckcheck.enabled () && geometric) then None
-      else begin
-        let t0 = Metrics.now_ns () in
-        let by_sid = Hashtbl.create 64 in
-        let computed = ref 0 and replayed = ref 0 in
-        List.iter
-          (fun (s : Model.symbol) ->
-            let fp = Hashtbl.find subtree s.Model.sid in
-            let cert =
-              match Hashtbl.find_opt t.e_certs fp with
-              | Some c ->
-                incr replayed;
-                c
-              | None ->
-                let c =
-                  Deckcheck.certify
-                    ~lookup:(fun sid -> Hashtbl.find_opt by_sid sid)
-                    s
-                in
-                incr computed;
-                Hashtbl.replace t.e_certs fp c;
-                c
-            in
-            Hashtbl.replace by_sid s.Model.sid cert)
-          model.Model.symbols;
-        Metrics.incr ~by:!computed m "analysis.certs_computed";
-        Metrics.incr ~by:!replayed m "analysis.certs_replayed";
-        Metrics.add_cost_ns m "analysis.certify" (Int64.sub (Metrics.now_ns ()) t0);
-        Some (fun sid -> Hashtbl.find_opt by_sid sid)
-      end
-    in
-    let slots_by_deck_memo = List.map (fun d -> slot_for t d.dk_rules) decks in
-    let memo_loaded_by_slot =
-      List.map
-        (fun s -> (s.ms_env, refresh_slot t trace subtree s))
-        (distinct_slots slots_by_deck_memo)
-    in
-    (* Imported entries are credited to the first deck using each slot,
-       so totals across decks match what actually moved. *)
-    let memo_loaded_by_deck =
-      let credited = Hashtbl.create 4 in
-      List.map
-        (fun s ->
-          if Hashtbl.mem credited s.ms_env then 0
-          else begin
-            Hashtbl.add credited s.ms_env ();
-            List.assoc s.ms_env memo_loaded_by_slot
-          end)
-        slots_by_deck_memo
-    in
+    let certs = certify t m model subtree in
+    let memos = refresh_memos t m trace subtree in
     let lookups = lookup_definitions t m trace fps in
     let jobs = Interactions.effective_jobs t.e_config.interactions.Interactions.jobs in
     List.iter
       (fun stage ->
         timed (def_stage_name stage) (fun () -> sweep_definitions m trace ~jobs lookups stage))
-      (Elements cert_lookup
-      :: Devices
+      (Elements certs :: Devices
       :: Option.to_list (Option.map (fun e -> Relational e) t.e_config.relational));
     store_definitions t trace lookups;
-    Metrics.incr ~by:(List.fold_left ( + ) 0 memo_loaded_by_deck) m "cache.memo_loaded";
     (* Composite stages always run fresh and are deck-independent: they
        are the hierarchical, cheap part, and they stitch the cached
        pieces together. *)
-    let nets, connection_issues = timed "connections+netlist" (fun () -> Netgen.build model) in
+    let nets, connection = timed "connections+netlist" (fun () -> Netgen.build model) in
     let netlist = timed "netlist-export" (fun () -> Netgen.netlist nets) in
-    (* The interaction sweep diverges per deck, but its worklist — the
-       expensive plan — depends only on the candidate cutoff, so decks
-       agreeing on [max_dist] share one plan (and their memo slot). *)
-    let interactions_by_deck =
-      timed "interactions" (fun () ->
-          let plans = Hashtbl.create 4 in
-          let plan_for dk_rules =
-            let dmax = Interactions.max_dist dk_rules in
-            match Hashtbl.find_opt plans dmax with
-            | Some p -> p
-            | None ->
-              let p = Interactions.plan ~dmax nets in
-              Hashtbl.add plans dmax p;
-              p
-          in
-          List.map2
-            (fun d slot ->
-              let certs =
-                Option.map
-                  (fun lk -> Deckcheck.consult ~cert_of:lk d.dk_rules)
-                  cert_lookup
-              in
-              Interactions.run ~config:t.e_config.interactions ~rules:d.dk_rules
-                ~memo:slot.ms_memo ~metrics:m ?trace ?certs (plan_for d.dk_rules))
-            decks slots_by_deck_memo)
+    let interactions =
+      timed "interactions" (fun () -> judge_interactions t m trace certs memos nets)
     in
-    let electrical_issues =
+    let electrical =
       if t.e_config.run_erc then timed "electrical" (fun () -> erc_violations netlist)
       else []
     in
-    let consistency_issues =
+    let consistency =
       match t.e_config.expected_netlist with
       | None -> []
       | Some expected -> timed "netlist-compare" (fun () -> Netcompare.check expected netlist)
     in
-    let local, crossing = Netgen.locality nets in
-    let locality_info =
-      Report.info ~stage:Report.Netlist_gen ~rule:"netlist.locality" ~context:"TOP"
-        (Printf.sprintf "%d net(s) local to one definition, %d crossing boundaries" local
-           crossing)
+    let multi =
+      assemble t m model nets netlist ~parse ~lints ~lookups ~memos ~connection
+        ~interactions ~electrical ~consistency
     in
-    let deck_results =
-      List.map2
-        (fun (lk, (lint_issues, lint_suppressed))
-             ((interaction_issues, interaction_stats), memo_loaded) ->
-          let from_slots field = List.concat_map field lk.lk_slots in
-          let report =
-            { Report.violations =
-                lint_issues @ parse_issues
-                @ from_slots (fun sl -> sl.sl_el)
-                @ from_slots (fun sl -> sl.sl_dv)
-                @ from_slots (fun sl -> sl.sl_rel)
-                @ connection_issues @ interaction_issues @ electrical_issues
-                @ consistency_issues @ [ locality_info ] }
-          in
-          { dr_deck = lk.lk_deck;
-            dr_result = { report; netlist; interaction_stats; metrics = m; model; nets };
-            dr_reuse =
-              { symbols_total = List.length fps;
-                symbols_reused = lk.lk_reused;
-                defs_from_disk = lk.lk_from_disk;
-                memo_loaded };
-            dr_suppressed = lint_suppressed })
-        (List.combine lookups lint_by_deck)
-        (List.combine interactions_by_deck memo_loaded_by_deck)
-    in
-    (* Pairwise subsumption verdicts (R015) live only in the merged
-       view: injecting them into per-deck reports would break the
-       "each deck's report is byte-identical to that deck checked
-       alone" invariant. *)
-    let relations =
-      match decks with
-      | _ :: _ :: _ when t.e_config.run_lint ->
-        Deckcheck.relation_lines (List.map (fun d -> (d.dk_label, d.dk_rules)) decks)
-      | _ -> []
-    in
-    let merged =
-      Multireport.make ~relations
-        (List.map (fun dr -> (dr.dr_deck.dk_label, dr.dr_result.report)) deck_results)
-    in
-    Metrics.count_report m (List.hd deck_results).dr_result.report;
-    List.iter (save_slot t trace subtree) (distinct_slots slots_by_deck_memo);
+    save_memos t trace subtree memos;
     t.e_last_subtree <- Some subtree;
-    Ok { results = deck_results; merged }
+    Ok multi
 
 (* Persist whatever warm state the session holds; a no-op before the
    first check or without a cache directory.  [check] already saves the
@@ -815,3 +835,35 @@ let pp_summary ppf r =
   Format.fprintf ppf "%d error(s), %d warning(s), %d net(s)" (by Report.Error)
     (by Report.Warning)
     (List.length r.netlist.Netlist.Net.nets)
+
+(* ------------------------------------------------------------------ *)
+(* Rendering                                                           *)
+
+type view = [ `Single | `Merged ]
+
+let render ~view multi =
+  match view with
+  | `Single ->
+    let r, _ = primary multi in
+    Format.asprintf "%a@." Report.pp r.report ^ Format.asprintf "%a@." pp_summary r
+  | `Merged ->
+    Format.asprintf "%a@." Multireport.pp multi.merged
+    ^ Format.asprintf "%a@." Multireport.pp_summary multi.merged
+
+(* Waived lint findings ride along as suppressed results; a deck set
+   also carries its pairwise relations. *)
+let sarif ~view ~uri multi =
+  let suppressed dr = Lint.to_violations dr.dr_suppressed in
+  match (view, multi.results) with
+  | `Single, dr :: _ -> Sarif.of_report ~uri ~suppressed:(suppressed dr) dr.dr_result.report
+  | _, drs ->
+    Sarif.of_reports ~uri
+      ~suppressed:(List.map (fun dr -> (dr.dr_deck.dk_label, suppressed dr)) drs)
+      ~relations:multi.merged.Multireport.relations
+      (List.map (fun dr -> (dr.dr_deck.dk_label, dr.dr_deck.dk_rules, dr.dr_result.report)) drs)
+
+let deck_exits ~werror ~lint_werror multi =
+  List.map (fun dr -> Report.exit_code ~werror ~lint_werror dr.dr_result.report) multi.results
+
+let exit_code ~werror ~lint_werror multi =
+  List.fold_left max 0 (deck_exits ~werror ~lint_werror multi)

@@ -183,13 +183,11 @@ val with_config : t -> config -> t
 val with_decks : t -> deck list -> t
 
 val with_jobs : t -> int -> t
-val with_metric : t -> Geom.Measure.metric -> t
 val with_same_net : t -> bool -> t
 val with_spacing_model : t -> Interactions.spacing_model -> t
 val with_erc : t -> bool -> t
 val with_lint : t -> bool -> t
 val with_expected_netlist : t -> Netcompare.expected option -> t
-val with_relational : t -> Process_model.Exposure.t option -> t
 
 (** The environment digest of one deck: canonical rule text ×
     result-affecting config (i.e. with [jobs] normalised away).  This
@@ -211,7 +209,11 @@ val same_env : t -> Tech.Rules.t -> config -> bool
 
 (** Run the pipeline on an already-parsed file.  One elaboration, one
     net structure, one interaction worklist per [max_dist] class — then
-    one report per deck plus the merged view.  For a single-deck
+    one report per deck plus the merged view.  The steps run as named
+    layers in Fig 10 order: elaborate, lint, certify, refresh the
+    interaction memos, the per-definition sweeps (elements, devices,
+    devices-relational), connections and net list, interactions,
+    electrical rules, net-list comparison, then report assembly.  For a single-deck
     engine, [primary] of the result is identical in report bytes,
     metrics shape, and trace shape to the historical single-deck
     engine, cold or warm.  [metrics] lets the caller supply (and keep)
@@ -238,6 +240,34 @@ val flush : t -> unit
 
 (** One-line summary: error/warning counts and net count. *)
 val pp_summary : Format.formatter -> result -> unit
+
+(** {2 Rendering}
+
+    The one path from a finished check to its bytes, shared by
+    [dicheck check] and [dicheck serve].  [`Single] renders the primary
+    deck exactly as a single-deck check always printed it; [`Merged]
+    renders the deck set's merged view.  Callers pick the view from
+    their input: the CLI takes [`Merged] when it has more than one
+    deck, serve when the request names ["decks"]. *)
+
+type view = [ `Single | `Merged ]
+
+(** The report text: {!Report.pp} then {!pp_summary} of the primary
+    deck, or {!Multireport.pp} then {!Multireport.pp_summary}, each
+    followed by a newline. *)
+val render : view:view -> multi -> string
+
+(** The SARIF document: {!Sarif.of_report} of the primary deck, or
+    {!Sarif.of_reports} with one run per deck and the deck-set
+    relations.  Waived lint findings ride along as suppressed results
+    either way. *)
+val sarif : view:view -> uri:string -> multi -> Json.t
+
+(** Each deck's {!Report.exit_code}, in deck order. *)
+val deck_exits : werror:bool -> lint_werror:bool -> multi -> int list
+
+(** The deck set's exit code: its worst deck's. *)
+val exit_code : werror:bool -> lint_werror:bool -> multi -> int
 
 (** {2 Shared pieces}
 

@@ -30,9 +30,11 @@ let quote s =
   Buffer.contents buf
 
 (* Integers print without a decimal point; other numbers in the
-   shortest [%g] precision that parses back to the same float. *)
+   shortest [%g] precision that parses back to the same float.  JSON has
+   no spelling for NaN or the infinities, so they print as [null]. *)
 let number_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.0f" f
   else
     let s15 = Printf.sprintf "%.15g" f in
@@ -119,11 +121,17 @@ let parse src =
       Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
     end
   in
+  (* Exactly four hex digits: [int_of_string] alone would also take
+     [_] separators and a sign. *)
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub src !pos 4) in
+    let digits = String.sub src !pos 4 in
+    if not (String.for_all
+              (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false)
+              digits)
+    then fail "bad \\u escape";
     pos := !pos + 4;
-    v
+    int_of_string ("0x" ^ digits)
   in
   let parse_string () =
     expect '"';
@@ -168,6 +176,7 @@ let parse src =
             else add_codepoint buf cp)
           | _ -> fail "unknown escape");
           go ())
+      | Some c when Char.code c < 0x20 -> fail "raw control byte in string"
       | Some c ->
         advance ();
         Buffer.add_char buf c;

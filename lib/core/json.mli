@@ -11,11 +11,13 @@
 
     The parser accepts RFC 8259 JSON (objects, arrays, strings with
     escapes including [\uXXXX], numbers, booleans, null) and rejects
-    trailing garbage.  The printer is canonical for a given value: no
-    whitespace, object members in the order given, integers printed
-    without a decimal point, other numbers in the shortest round-trip
-    form (15 significant digits when that parses back to the same
-    float, 17 otherwise).  Strings use the short escapes for quote,
+    trailing garbage, raw control bytes (below [0x20]) inside strings,
+    and a [\u] not followed by exactly four hex digits.  The printer is
+    canonical for a given value: no whitespace, object members in the
+    order given, integers printed without a decimal point, other
+    numbers in the shortest round-trip form (15 significant digits
+    when that parses back to the same float, 17 otherwise), and NaN and
+    the infinities, which JSON cannot spell, as [null].  Strings use the short escapes for quote,
     backslash, newline, carriage return, tab, backspace and form feed,
     [\u00XX] for the other control bytes, and pass bytes from [0x7f]
     up through unchanged. *)

@@ -279,17 +279,15 @@ let float_str v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.6g" v
 
-let window_json s =
+let window_summary s =
   let n = Array.length s.w_values in
   let mean =
     if n = 0 then 0. else Array.fold_left ( +. ) 0. s.w_values /. float_of_int n
   in
   let q p = Json.Num (window_quantile s p) in
-  Json.Obj
-    [ ("capacity", Json.of_int s.w_capacity); ("count", Json.of_int s.w_count);
-      ("len", Json.of_int n); ("mean", Json.Num mean);
-      ("max", Json.Num (Array.fold_left Float.max 0. s.w_values));
-      ("p50", q 0.5); ("p95", q 0.95); ("p99", q 0.99) ]
+  [ ("count", Json.of_int s.w_count); ("len", Json.of_int n); ("mean", Json.Num mean);
+    ("max", Json.Num (Array.fold_left Float.max 0. s.w_values));
+    ("p50", q 0.5); ("p95", q 0.95); ("p99", q 0.99) ]
 
 let to_json t =
   let obj f xs = Json.Obj (List.map f xs) in
@@ -319,7 +317,11 @@ let to_json t =
       ("counters", obj (fun (name, v) -> (name, Json.of_int v)) (counters t));
       ("histograms", obj hist (hist_names t));
       ("gauges", obj (fun (name, v) -> (name, Json.Num v)) (gauges t));
-      ("windows", obj (fun name -> (name, window_json (Option.get (window t name))))
+      ("windows",
+       obj
+         (fun name ->
+           let s = Option.get (window t name) in
+           (name, Json.Obj (("capacity", Json.of_int s.w_capacity) :: window_summary s)))
          (window_names t));
       ("costs", obj (fun (name, c) -> (name, ns c)) (costs t)) ]
 

@@ -132,6 +132,12 @@ val window_names : t -> string list
     empty window). *)
 val window_quantile : window_snapshot -> float -> float
 
+(** The summary members of a window, in order: [count], [len] (values
+    surviving), [mean], [max], [p50], [p95], [p99].  An empty snapshot
+    gives all zeros.  {!to_json} puts [capacity] in front of them; the
+    serve stats snapshot ({!Telemetry.snapshot}) prints them alone. *)
+val window_summary : window_snapshot -> (string * Json.t) list
+
 (** {1 Histograms} *)
 
 (** [observe_ns t name ns] adds one observation to histogram [name].

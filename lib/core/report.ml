@@ -41,6 +41,13 @@ let by_rule_prefix t prefix =
     (fun v -> String.length v.rule >= n && String.sub v.rule 0 n = prefix)
     t.violations
 
+let exit_code ~werror ~lint_werror t =
+  if count ~severity:Error t > 0
+     || (werror && count ~severity:Warning t > 0)
+     || (lint_werror && by_rule_prefix t "lint." <> [])
+  then 1
+  else 0
+
 let stage_name = function
   | Parse_stage -> "parse"
   | Elements -> "elements"

@@ -50,6 +50,12 @@ val by_stage : t -> stage -> violation list
 (** Violations whose rule id starts with the given prefix. *)
 val by_rule_prefix : t -> string -> violation list
 
+(** The checker's 0/1 exit policy for one report: 1 when it has errors,
+    or warnings under [werror], or [lint.*] findings under
+    [lint_werror]; 0 otherwise.  (Usage, parse and input failures exit
+    2 before any report exists.) *)
+val exit_code : werror:bool -> lint_werror:bool -> t -> int
+
 val stage_name : stage -> string
 
 (** [path] when present, else [context]: the most precise logical

@@ -279,174 +279,94 @@ let process t engines ?req ?trace reqj =
                   (fun (k, n) -> (k, Json.of_int n))
                   (Lint.suppressed_counts suppressed))) ]
       in
-      let exit_of report =
-        let errors = Report.count ~severity:Report.Error report in
-        let warnings = Report.count ~severity:Report.Warning report in
-        let lint_hits = Report.by_rule_prefix report "lint." in
-        if errors > 0 || (flag "werror" && warnings > 0)
-           || (lint_werror && lint_hits <> [])
-        then 1
-        else 0
-      in
-      let write_out report_text =
-        match Option.bind (Json.member "out" req) Json.str with
-        | None -> ()
-        | Some path ->
-          Out_channel.with_open_text path (fun oc ->
-              Out_channel.output_string oc report_text)
-      in
-      (* The request-scoped span tree, for callers that asked with
-         "trace": true.  Opt-in per request: the daemon-level --trace
-         collection alone never grows replies. *)
-      let with_trace members =
-        match trace with
-        | Some tr when flag "trace" ->
-          members @ [ ("trace", Trace.chrome tr) ]
-        | _ -> members
-      in
       match Engine.check_string ?trace engine src with
       | Error msg -> refuse id msg
-      | Ok multi -> (
-        match decks_opt with
-        | None ->
-          (* Single-deck request: exactly the bytes one-shot
-             [dicheck FILE] writes to stdout — the report then the
-             one-line summary (the serve smoke diffs against that). *)
-          let result, reuse = Engine.primary multi in
-          let suppressed =
-            match multi.Engine.results with
-            | dr :: _ -> dr.Engine.dr_suppressed
-            | [] -> []
-          in
-          let report_text =
-            Format.asprintf "%a@." Report.pp result.Engine.report
-            ^ Format.asprintf "%a@." Engine.pp_summary result
-          in
-          write_out report_text;
-          let count sev = Report.count ~severity:sev result.Engine.report in
-          let errors = count Report.Error and warnings = count Report.Warning in
-          let exit_code = exit_of result.Engine.report in
-          let base =
-            [ ("id", id); ("ok", Json.Bool true); ("status", Json.Str "ok") ]
-            @ req_members
-            @ [ ("errors", Json.of_int errors);
-              ("warnings", Json.of_int warnings);
-              ("exit", Json.of_int exit_code);
-              ("symbols_total", Json.of_int reuse.Engine.symbols_total);
-              ("symbols_reused", Json.of_int reuse.Engine.symbols_reused);
-              ("defs_from_disk", Json.of_int reuse.Engine.defs_from_disk);
-              ("memo_loaded", Json.of_int reuse.Engine.memo_loaded) ]
-            @ lint_counts_of result.Engine.report
-            @ lint_suppressed_of suppressed
-            @ [ ("report", Json.Str report_text) ]
-          in
-          let with_metrics =
-            if flag "stats" then
-              base @ [ ("metrics", Metrics.to_json result.Engine.metrics) ]
-            else base
-          in
-          let with_sarif =
-            if flag "sarif" then
-              with_metrics
-              @ [ ("sarif",
-                   Sarif.of_report ~uri
-                     ~suppressed:(Lint.to_violations suppressed)
-                     result.Engine.report) ]
-            else with_metrics
-          in
-          ( Json.to_string (Json.Obj (with_trace with_sarif)),
-            { o_status = "ok"; o_exit = exit_code; o_errors = errors;
-              o_warnings = warnings;
-              o_reuse = Some (reuse.Engine.symbols_total, reuse.Engine.symbols_reused) } )
-        | Some _ ->
-          (* Deck-set request: merged report text (the multi-deck CLI's
-             stdout bytes), per-deck detail under "decks", and the
-             compliant-intersection verdict.  The top-level exit is the
-             worst per-deck exit. *)
-          let merged = multi.Engine.merged in
-          let report_text =
-            Format.asprintf "%a@." Multireport.pp merged
-            ^ Format.asprintf "%a@." Multireport.pp_summary merged
-          in
-          write_out report_text;
-          let deck_fields (dr : Engine.deck_result) =
-            let report = dr.Engine.dr_result.Engine.report in
-            let reuse = dr.Engine.dr_reuse in
-            Json.Obj
-              ([ ("label", Json.Str dr.Engine.dr_deck.Engine.dk_label);
-                 ("errors", Json.of_int (Report.count ~severity:Report.Error report));
-                 ("warnings", Json.of_int (Report.count ~severity:Report.Warning report));
-                 ("exit", Json.of_int (exit_of report));
-                 ("symbols_total", Json.of_int reuse.Engine.symbols_total);
-                 ("symbols_reused", Json.of_int reuse.Engine.symbols_reused);
-                 ("defs_from_disk", Json.of_int reuse.Engine.defs_from_disk);
-                 ("memo_loaded", Json.of_int reuse.Engine.memo_loaded) ]
-              @ lint_counts_of report
-              @ lint_suppressed_of dr.Engine.dr_suppressed)
-          in
-          let exit_code =
-            List.fold_left
-              (fun acc (dr : Engine.deck_result) ->
-                max acc (exit_of dr.Engine.dr_result.Engine.report))
-              0 multi.Engine.results
-          in
-          let errors = Multireport.errors merged in
-          let warnings = Multireport.warnings merged in
-          let sum f =
-            List.fold_left
-              (fun acc (dr : Engine.deck_result) -> acc + f dr.Engine.dr_reuse)
-              0 multi.Engine.results
-          in
-          let base =
-            [ ("id", id); ("ok", Json.Bool true); ("status", Json.Str "ok") ]
-            @ req_members
-            @ [ ("errors", Json.of_int errors);
-              ("warnings", Json.of_int warnings);
-              ("exit", Json.of_int exit_code);
-              ("symbols_total", Json.of_int (sum (fun r -> r.Engine.symbols_total)));
-              ("symbols_reused", Json.of_int (sum (fun r -> r.Engine.symbols_reused)));
-              ("defs_from_disk", Json.of_int (sum (fun r -> r.Engine.defs_from_disk)));
-              ("memo_loaded", Json.of_int (sum (fun r -> r.Engine.memo_loaded)));
-              ("decks", Json.Arr (List.map deck_fields multi.Engine.results));
-              ("compliant",
+      | Ok multi ->
+        (* A deckless request gets exactly the bytes one-shot
+           [dicheck FILE] writes to stdout (the serve smoke diffs
+           against that); a deck-set request gets the multi-deck CLI's
+           merged report, per-deck detail under "decks", and the
+           compliant-intersection verdict. *)
+        let view = match decks_opt with None -> `Single | Some _ -> `Merged in
+        let report_text = Engine.render ~view multi in
+        Option.iter
+          (fun path ->
+            Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc report_text))
+          (Option.bind (Json.member "out" req) Json.str);
+        let werror = flag "werror" in
+        let exit_code = Engine.exit_code ~werror ~lint_werror multi in
+        let result, _ = Engine.primary multi in
+        let merged = multi.Engine.merged in
+        let errors, warnings =
+          match view with
+          | `Single ->
+            ( Report.count ~severity:Report.Error result.Engine.report,
+              Report.count ~severity:Report.Warning result.Engine.report )
+          | `Merged -> (Multireport.errors merged, Multireport.warnings merged)
+        in
+        let sum f =
+          List.fold_left
+            (fun acc (dr : Engine.deck_result) -> acc + f dr.Engine.dr_reuse)
+            0 multi.Engine.results
+        in
+        let reuse =
+          { Engine.symbols_total = sum (fun r -> r.Engine.symbols_total);
+            symbols_reused = sum (fun r -> r.Engine.symbols_reused);
+            defs_from_disk = sum (fun r -> r.Engine.defs_from_disk);
+            memo_loaded = sum (fun r -> r.Engine.memo_loaded) }
+        in
+        let tally ~errors ~warnings ~exit (r : Engine.reuse) =
+          [ ("errors", Json.of_int errors); ("warnings", Json.of_int warnings);
+            ("exit", Json.of_int exit);
+            ("symbols_total", Json.of_int r.Engine.symbols_total);
+            ("symbols_reused", Json.of_int r.Engine.symbols_reused);
+            ("defs_from_disk", Json.of_int r.Engine.defs_from_disk);
+            ("memo_loaded", Json.of_int r.Engine.memo_loaded) ]
+        in
+        let lint_members (dr : Engine.deck_result) =
+          lint_counts_of dr.Engine.dr_result.Engine.report
+          @ lint_suppressed_of dr.Engine.dr_suppressed
+        in
+        let deck_fields (dr : Engine.deck_result) exit =
+          let report = dr.Engine.dr_result.Engine.report in
+          Json.Obj
+            ((("label", Json.Str dr.Engine.dr_deck.Engine.dk_label)
+             :: tally ~exit dr.Engine.dr_reuse
+                  ~errors:(Report.count ~severity:Report.Error report)
+                  ~warnings:(Report.count ~severity:Report.Warning report))
+            @ lint_members dr)
+        in
+        let view_members =
+          match view with
+          | `Single -> lint_members (List.hd multi.Engine.results)
+          | `Merged ->
+            [ ("decks",
                Json.Arr
-                 (List.map (fun l -> Json.Str l) (Multireport.compliant merged)));
-              ("all_compliant", Json.Bool (Multireport.all_compliant merged));
-              ("report", Json.Str report_text) ]
-          in
-          let with_metrics =
-            if flag "stats" then
-              let result, _ = Engine.primary multi in
-              base @ [ ("metrics", Metrics.to_json result.Engine.metrics) ]
-            else base
-          in
-          let with_sarif =
-            if flag "sarif" then
-              with_metrics
-              @ [ ("sarif",
-                   Sarif.of_reports ~uri
-                     ~suppressed:
-                       (List.map
-                          (fun (dr : Engine.deck_result) ->
-                            ( dr.Engine.dr_deck.Engine.dk_label,
-                              Lint.to_violations dr.Engine.dr_suppressed ))
-                          multi.Engine.results)
-                     ~relations:merged.Multireport.relations
-                     (List.map
-                        (fun (dr : Engine.deck_result) ->
-                          ( dr.Engine.dr_deck.Engine.dk_label,
-                            dr.Engine.dr_deck.Engine.dk_rules,
-                            dr.Engine.dr_result.Engine.report ))
-                        multi.Engine.results)) ]
-            else with_metrics
-          in
-          ( Json.to_string (Json.Obj (with_trace with_sarif)),
-            { o_status = "ok"; o_exit = exit_code; o_errors = errors;
-              o_warnings = warnings;
-              o_reuse =
-                Some
-                  ( sum (fun r -> r.Engine.symbols_total),
-                    sum (fun r -> r.Engine.symbols_reused) ) } ))))
+                 (List.map2 deck_fields multi.Engine.results
+                    (Engine.deck_exits ~werror ~lint_werror multi)));
+              ("compliant",
+               Json.Arr (List.map (fun l -> Json.Str l) (Multireport.compliant merged)));
+              ("all_compliant", Json.Bool (Multireport.all_compliant merged)) ]
+        in
+        let members =
+          [ ("id", id); ("ok", Json.Bool true); ("status", Json.Str "ok") ]
+          @ req_members
+          @ tally ~errors ~warnings ~exit:exit_code reuse
+          @ view_members
+          @ [ ("report", Json.Str report_text) ]
+          @ (if flag "stats" then [ ("metrics", Metrics.to_json result.Engine.metrics) ]
+             else [])
+          @ (if flag "sarif" then [ ("sarif", Engine.sarif ~view ~uri multi) ] else [])
+          (* The request-scoped span tree, for callers that asked with
+             "trace": true.  Opt-in per request: the daemon-level
+             --trace collection alone never grows replies. *)
+          @ (match trace with
+            | Some tr when flag "trace" -> [ ("trace", Trace.chrome tr) ]
+            | _ -> [])
+        in
+        ( Json.to_string (Json.Obj members),
+          { o_status = "ok"; o_exit = exit_code; o_errors = errors; o_warnings = warnings;
+            o_reuse = Some (reuse.Engine.symbols_total, reuse.Engine.symbols_reused) } )))
 
 let process_safe t engines ?req ?trace reqj =
   try process t engines ?req ?trace reqj

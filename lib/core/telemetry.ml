@@ -179,23 +179,11 @@ let merged_trace t =
 (* Canonical member order; every member is always present so clients
    (and `dicheck top`) never need existence checks. *)
 let window_json t name =
-  match Metrics.window t.metrics name with
-  | None ->
-    Json.Obj
-      [ ("count", num 0); ("len", num 0); ("mean", fnum 0.); ("max", fnum 0.);
-        ("p50", fnum 0.); ("p95", fnum 0.); ("p99", fnum 0.) ]
-  | Some s ->
-    let n = Array.length s.Metrics.w_values in
-    let mean =
-      if n = 0 then 0.
-      else Array.fold_left ( +. ) 0. s.Metrics.w_values /. float_of_int n
-    in
-    Json.Obj
-      [ ("count", num s.Metrics.w_count); ("len", num n); ("mean", fnum mean);
-        ("max", fnum (Array.fold_left Float.max 0. s.Metrics.w_values));
-        ("p50", fnum (Metrics.window_quantile s 0.5));
-        ("p95", fnum (Metrics.window_quantile s 0.95));
-        ("p99", fnum (Metrics.window_quantile s 0.99)) ]
+  Json.Obj
+    (Metrics.window_summary
+       (Option.value
+          ~default:{ Metrics.w_count = 0; w_capacity = 0; w_values = [||] }
+          (Metrics.window t.metrics name)))
 
 let snapshot t ~queued ~inflight ~served ~cancelled ~overloaded ~workers ~max_queue =
   locked t (fun () ->

@@ -132,14 +132,12 @@ let with_certs enabled f =
   Dic.Deckcheck.set_enabled enabled;
   Fun.protect ~finally:(fun () -> Dic.Deckcheck.set_enabled saved) f
 
+(* The merged view, then each deck rendered alone. *)
 let report_bytes (multi : Dic.Engine.multi) =
   String.concat "\x00"
-    (Format.asprintf "%a@." Dic.Multireport.pp multi.Dic.Engine.merged
-    :: Format.asprintf "%a@." Dic.Multireport.pp_summary multi.Dic.Engine.merged
+    (Dic.Engine.render ~view:`Merged multi
     :: List.map
-         (fun (dr : Dic.Engine.deck_result) ->
-           Format.asprintf "%a@." Dic.Report.pp
-             dr.Dic.Engine.dr_result.Dic.Engine.report)
+         (fun dr -> Dic.Engine.render ~view:`Single { multi with Dic.Engine.results = [ dr ] })
          multi.Dic.Engine.results)
 
 let check_bytes ?metrics ~jobs decks file =

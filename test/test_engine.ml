@@ -23,14 +23,16 @@ let with_cache_dir f =
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                             *)
 
+(* The multi-result and the primary deck's reuse. *)
 let check_ok engine file =
-  match Result.map Dic.Engine.primary @@ Dic.Engine.check engine file with
-  | Ok (result, reuse) -> (result, reuse)
+  match Dic.Engine.check engine file with
+  | Ok multi -> (multi, snd (Dic.Engine.primary multi))
   | Error e -> Alcotest.fail e
 
-let report_text (result : Dic.Engine.result) =
-  Format.asprintf "%a@." Dic.Report.pp result.Dic.Engine.report
-  ^ Format.asprintf "%a@." Dic.Engine.pp_summary result
+let report_text multi = Dic.Engine.render ~view:`Single multi
+
+(* One deck of a set rendered as if it were the whole check. *)
+let deck_text (m : Dic.Engine.multi) dr = report_text { m with Dic.Engine.results = [ dr ] }
 
 (* A workload with real interactions and a known violation, so the
    report compared for byte-identity is not trivially empty. *)
@@ -83,7 +85,8 @@ let test_symbol_edit_invalidates_only_that_symbol () =
         Layoutgen.Inject.apply file
           [ Layoutgen.Inject.narrow_poly_wire ~lambda ~at:(0, -20 * lambda) ]
       in
-      let result, r = check_ok (Dic.Engine.create ~cache_dir:dir rules) salted in
+      let multi, r = check_ok (Dic.Engine.create ~cache_dir:dir rules) salted in
+      let result, _ = Dic.Engine.primary multi in
       Alcotest.(check int) "all but the edited root reused"
         (r.Dic.Engine.symbols_total - 1) r.Dic.Engine.symbols_reused;
       Alcotest.(check bool) "the new defect is found" true
@@ -180,8 +183,8 @@ let stats_shape m =
 
 let check_with_metrics engine file =
   let m = Dic.Metrics.create () in
-  match Result.map Dic.Engine.primary @@ Dic.Engine.check ~metrics:m engine file with
-  | Ok (result, _) -> (result, m)
+  match Dic.Engine.check ~metrics:m engine file with
+  | Ok multi -> (multi, m)
   | Error e -> Alcotest.fail e
 
 let test_pipeline_bytes_across_jobs () =
@@ -191,7 +194,7 @@ let test_pipeline_bytes_across_jobs () =
     let cold, mc = check_with_metrics e file in
     let warm, mw = check_with_metrics e file in
     ( report_text cold,
-      Json.to_string (Dic.Sarif.of_report cold.Dic.Engine.report),
+      Json.to_string (Dic.Engine.sarif ~view:`Single ~uri:"design.cif" cold),
       stats_shape mc, report_text warm, stats_shape mw )
   in
   let r1, s1, j1, w1, jw1 = run 1 in
@@ -237,9 +240,7 @@ let multi_ok engine file =
   | Ok m -> m
   | Error e -> Alcotest.fail e
 
-let merged_text (m : Dic.Engine.multi) =
-  Format.asprintf "%a@." Dic.Multireport.pp m.Dic.Engine.merged
-  ^ Format.asprintf "%a@." Dic.Multireport.pp_summary m.Dic.Engine.merged
+let merged_text = Dic.Engine.render ~view:`Merged
 
 (* A second deck with a tighter metal width: the 3-lambda rails violate
    it, so the two decks genuinely disagree. *)
@@ -253,9 +254,8 @@ let test_multideck_n1_matches_single () =
   let file = workload () in
   let plain, _ = check_ok (Dic.Engine.create rules) file in
   let m = multi_ok (Dic.Engine.create ~decks:[ base_deck () ] rules) file in
-  let viaset, _ = Dic.Engine.primary m in
   Alcotest.(check string) "decks:[d] = plain engine, byte for byte"
-    (report_text plain) (report_text viaset);
+    (report_text plain) (report_text m);
   Alcotest.(check int) "one summary" 1
     (List.length m.Dic.Engine.merged.Dic.Multireport.summaries)
 
@@ -268,8 +268,7 @@ let test_multideck_per_deck_matches_alone () =
       let alone, _ = check_ok (Dic.Engine.create d.Dic.Engine.dk_rules) file in
       Alcotest.(check string)
         (d.Dic.Engine.dk_label ^ " in the set = checked alone")
-        (report_text alone)
-        (report_text dr.Dic.Engine.dr_result))
+        (report_text alone) (deck_text m dr))
     decks m.Dic.Engine.results;
   (* The strict deck flags the rails; the base deck does not — the
      verdict distinguishes them. *)
@@ -296,13 +295,7 @@ let test_multideck_sarif_across_jobs () =
     let m =
       multi_ok (Dic.Engine.with_jobs (Dic.Engine.create ~decks rules) jobs) file
     in
-    Json.to_string
-      (Dic.Sarif.of_reports
-         (List.map2
-            (fun (d : Dic.Engine.deck) (dr : Dic.Engine.deck_result) ->
-              ( d.Dic.Engine.dk_label, d.Dic.Engine.dk_rules,
-                dr.Dic.Engine.dr_result.Dic.Engine.report ))
-            decks m.Dic.Engine.results))
+    Json.to_string (Dic.Engine.sarif ~view:`Merged ~uri:"design.cif" m)
   in
   let base = sarif 1 in
   Alcotest.(check bool) "SARIF is substantial" true (String.length base > 100);
@@ -329,8 +322,7 @@ let test_multideck_cache_independence () =
         Alcotest.(check int) "deck B untouched by A's warmth" 0
           b.Dic.Engine.dr_reuse.Dic.Engine.symbols_reused;
         Alcotest.(check string) "A's warm report = A's cold report"
-          (report_text cold_a)
-          (report_text a.Dic.Engine.dr_result)
+          (report_text cold_a) (deck_text m a)
       | _ -> Alcotest.fail "expected two deck results");
       (* Round three: both decks warm now. *)
       let m2 = multi_ok (Dic.Engine.create ~cache_dir:dir ~decks rules) file in
@@ -412,8 +404,8 @@ let test_serve_matches_engine_bytes () =
      a transport, not a different checker.  (Text, not the AST — parsing
      attaches source positions that show up in the report.) *)
   let direct =
-    match Result.map Dic.Engine.primary @@ Dic.Engine.check_string (Dic.Engine.create rules) src with
-    | Ok (r, _) -> r
+    match Dic.Engine.check_string (Dic.Engine.create rules) src with
+    | Ok m -> m
     | Error e -> Alcotest.fail e
   in
   Alcotest.(check string) "serve report = direct report" (report_text direct) served
@@ -549,6 +541,63 @@ let test_json_escapes () =
   | Ok _ -> Alcotest.fail "expected a string"
   | Error e -> Alcotest.fail e
 
+let test_json_rejects_raw_control_bytes () =
+  match Dic.Json.parse "\"a\001b\"" with
+  | Ok _ -> Alcotest.fail "accepted a raw control byte inside a string"
+  | Error _ -> ()
+
+let test_json_rejects_non_hex_escape () =
+  List.iter
+    (fun s ->
+      match Dic.Json.parse s with
+      | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %S" s)
+      | Error _ -> ())
+    [ "\"\\u1_23\""; "\"\\u+123\""; "\"\\u12g4\"" ]
+
+let test_json_non_finite_prints_null () =
+  Alcotest.(check string) "NaN and infinities print as null" "[null,null,null,1.5]"
+    (Dic.Json.to_string
+       (Dic.Json.Arr
+          [ Dic.Json.Num Float.nan; Dic.Json.Num Float.infinity;
+            Dic.Json.Num Float.neg_infinity; Dic.Json.Num 1.5 ]))
+
+(* ------------------------------------------------------------------ *)
+(* Exit policy                                                         *)
+
+(* The one 0/1 policy both front ends apply, row by row. *)
+let test_exit_policy () =
+  let stage = Dic.Report.Elements and context = "TOP" in
+  let error = Dic.Report.error ~stage ~rule:"width.NM" ~context "e" in
+  let warning = Dic.Report.warning ~stage ~rule:"erc.floating-net" ~context "w" in
+  let info = Dic.Report.info ~stage ~rule:"netlist.locality" ~context "i" in
+  let lint = Dic.Report.warning ~stage ~rule:"lint.D005" ~context "l" in
+  List.iter
+    (fun (name, violations, werror, lint_werror, expected) ->
+      Alcotest.(check int) name expected
+        (Dic.Report.exit_code ~werror ~lint_werror { Dic.Report.violations }))
+    [ ("clean", [], true, true, 0);
+      ("info only", [ info ], true, true, 0);
+      ("error", [ error ], false, false, 1);
+      ("warning", [ warning ], false, false, 0);
+      ("warning under werror", [ warning ], true, false, 1);
+      ("warning under lint_werror", [ warning ], false, true, 0);
+      ("lint hit", [ lint ], false, false, 0);
+      ("lint hit under lint_werror", [ lint ], false, true, 1);
+      ("lint hit under werror", [ lint ], true, false, 1) ]
+
+(* A deck set exits with its worst deck's code; each deck keeps its own. *)
+let test_exit_worst_deck () =
+  let werror = false and lint_werror = false in
+  let clean =
+    multi_ok
+      (Dic.Engine.create ~decks:[ base_deck (); strict_deck () ] rules)
+      (Layoutgen.Cells.chain ~lambda 2)
+  in
+  Alcotest.(check (list int)) "strict deck alone fails" [ 0; 1 ]
+    (Dic.Engine.deck_exits ~werror ~lint_werror clean);
+  Alcotest.(check int) "worst deck's code" 1
+    (Dic.Engine.exit_code ~werror ~lint_werror clean)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -596,4 +645,13 @@ let () =
       ( "json",
         [ Alcotest.test_case "round trip" `Quick test_json_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_json_rejects_garbage;
-          Alcotest.test_case "escape decoding" `Quick test_json_escapes ] ) ]
+          Alcotest.test_case "escape decoding" `Quick test_json_escapes;
+          Alcotest.test_case "rejects raw control bytes" `Quick
+            test_json_rejects_raw_control_bytes;
+          Alcotest.test_case "rejects non-hex unicode escapes" `Quick
+            test_json_rejects_non_hex_escape;
+          Alcotest.test_case "non-finite numbers print as null" `Quick
+            test_json_non_finite_prints_null ] );
+      ( "exit",
+        [ Alcotest.test_case "policy table" `Quick test_exit_policy;
+          Alcotest.test_case "worst deck" `Quick test_exit_worst_deck ] ) ]

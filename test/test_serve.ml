@@ -58,10 +58,8 @@ let orphan_cif () =
    determinism bar every daemon reply is held to.  Parsed like the
    CLI parses its input file, so source locations match. *)
 let one_shot_text src =
-  match Result.map Dic.Engine.primary @@ Dic.Engine.check_string (Dic.Engine.create rules) src with
-  | Ok (result, _) ->
-    Format.asprintf "%a@." Dic.Report.pp result.Dic.Engine.report
-    ^ Format.asprintf "%a@." Dic.Engine.pp_summary result
+  match Dic.Engine.check_string (Dic.Engine.create rules) src with
+  | Ok multi -> Dic.Engine.render ~view:`Single multi
   | Error e -> Alcotest.fail e
 
 (* ------------------------------------------------------------------ *)
@@ -216,6 +214,52 @@ let test_multideck_replies_match_at_every_worker_count () =
     Alcotest.(check bool) "membership annotations present" true
       (Astring_contains.contains w1 "[decks:")
   | _ -> Alcotest.fail "expected two worker counts"
+
+(* A deck-set reply's "sarif" member is the CLI's [--sarif] document:
+   both come from [Engine.sarif] over the merged view. *)
+let test_multideck_sarif_is_engine_sarif () =
+  let src = workload_cif () in
+  let strict =
+    { rules with Tech.Rules.width_metal = 4 * lambda; Tech.Rules.name = "strict" }
+  in
+  let decks = [ ("base", rules); ("strict", strict) ] in
+  let request =
+    Dic.Json.to_string
+      (Dic.Json.Obj
+         [ ("cif", Dic.Json.Str src); ("lint", Dic.Json.Bool true);
+           ("sarif", Dic.Json.Bool true);
+           ("decks",
+            Dic.Json.Arr
+              (List.map
+                 (fun (label, r) ->
+                   Dic.Json.Obj
+                     [ ("label", Dic.Json.Str label);
+                       ("rules", Dic.Json.Str (Tech.Rules.to_string r)) ])
+                 decks)) ])
+  in
+  let reply = parse_reply (Dic.Serve.handle_line (Dic.Serve.create rules) request) in
+  let served =
+    match Dic.Json.member "sarif" reply with
+    | Some v -> Dic.Json.to_string v
+    | None -> Alcotest.fail "reply has no sarif member"
+  in
+  (* Parsed from text like serve parses them, so rule positions match. *)
+  let deck (label, r) =
+    match Tech.Rules.of_string (Tech.Rules.to_string r) with
+    | Ok r -> Dic.Engine.deck ~label r
+    | Error msg -> Alcotest.fail msg
+  in
+  let engine =
+    Dic.Engine.with_lint (Dic.Engine.create ~decks:(List.map deck decks) rules) true
+  in
+  match Dic.Engine.check_string engine src with
+  | Error e -> Alcotest.fail e
+  | Ok multi ->
+    Alcotest.(check bool) "relations present" true
+      (multi.Dic.Engine.merged.Dic.Multireport.relations <> []);
+    Alcotest.(check string) "sarif member = Engine.sarif ~view:`Merged"
+      (Dic.Json.to_string (Dic.Engine.sarif ~view:`Merged ~uri:"inline" multi))
+      served
 
 (* ------------------------------------------------------------------ *)
 (* Warm-cache state transitions across requests                        *)
@@ -512,6 +556,24 @@ let test_admin_stats_and_health () =
   Alcotest.(check (option string)) "draining after shutdown" (Some "draining")
     (jstr "health" dr)
 
+(* A hub that has served nothing still answers every window member,
+   zero-filled: the summary [Metrics.window_summary] gives an empty
+   window. *)
+let test_fresh_hub_windows_zeroed () =
+  let snap =
+    Dic.Telemetry.snapshot (Dic.Telemetry.create ()) ~queued:0 ~inflight:0 ~served:0
+      ~cancelled:0 ~overloaded:0 ~workers:1 ~max_queue:1
+  in
+  match jmem "latency_ms" snap with
+  | Some (Dic.Json.Obj members) ->
+    Alcotest.(check (list string)) "the seven summary members"
+      [ "count"; "len"; "mean"; "max"; "p50"; "p95"; "p99" ]
+      (List.map fst members);
+    List.iter
+      (fun (k, v) -> Alcotest.(check (option (float 0.))) k (Some 0.) (Dic.Json.num v))
+      members
+  | _ -> Alcotest.fail "snapshot has no latency_ms object"
+
 let test_refusals_and_ack_carry_stats () =
   let server = Dic.Serve.create ~workers:1 ~max_queue:1 rules in
   let c = client () in
@@ -741,7 +803,9 @@ let () =
           Alcotest.test_case "warm transitions" `Quick
             test_warm_transitions_across_requests;
           Alcotest.test_case "multi-deck replies match at every worker count"
-            `Quick test_multideck_replies_match_at_every_worker_count ] );
+            `Quick test_multideck_replies_match_at_every_worker_count;
+          Alcotest.test_case "multi-deck sarif = engine sarif" `Quick
+            test_multideck_sarif_is_engine_sarif ] );
       ( "cancellation",
         [ Alcotest.test_case "superseded in flight" `Quick test_superseded_id_inflight;
           Alcotest.test_case "superseded while queued" `Quick test_superseded_id_queued ] );
@@ -758,6 +822,8 @@ let () =
       ( "telemetry",
         [ Alcotest.test_case "admin stats and health" `Quick
             test_admin_stats_and_health;
+          Alcotest.test_case "fresh hub windows zeroed" `Quick
+            test_fresh_hub_windows_zeroed;
           Alcotest.test_case "refusals and ack carry stats" `Quick
             test_refusals_and_ack_carry_stats;
           Alcotest.test_case "trace flag embeds request trace" `Quick

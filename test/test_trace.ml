@@ -340,6 +340,43 @@ let test_checker_charges_symbols () =
   let symbol_costs = List.filter (fun (k, _) -> String.length k > 7 && String.sub k 0 7 = "symbol.") costs in
   Alcotest.(check bool) "per-definition costs recorded" true (symbol_costs <> [])
 
+(* Every optional stage on: the pipeline's layers must still announce,
+   time and trace the same stages in the same order, and [timed] keeps
+   the three views in step. *)
+let test_stage_sequence () =
+  let expected =
+    match Dic.Netcompare.parse "net GND!\n0:inv.0:enh sd1\n" with
+    | Ok e -> e
+    | Error msg -> Alcotest.fail msg
+  in
+  let config =
+    { Dic.Engine.default_config with
+      Dic.Engine.run_erc = true;
+      run_lint = true;
+      relational = Some (Process_model.Exposure.make ~sigma:60. ());
+      expected_netlist = Some expected }
+  in
+  let ticks = ref [] in
+  let trace = Dic.Trace.create () in
+  let m = Dic.Metrics.create () in
+  (match
+     Dic.Engine.check_string ~metrics:m ~trace
+       ~progress:(fun name -> ticks := name :: !ticks)
+       (Dic.Engine.create ~config rules)
+       (Cif.Print.to_string (Layoutgen.Cells.chain ~lambda 2))
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let stages =
+    [ "elaborate"; "lint"; "elements"; "devices"; "devices-relational";
+      "connections+netlist"; "netlist-export"; "interactions"; "electrical";
+      "netlist-compare" ]
+  in
+  Alcotest.(check (list string)) "progress ticks" stages (List.rev !ticks);
+  Alcotest.(check (list string)) "metrics stages" stages
+    (List.map fst (Dic.Metrics.stage_seconds m));
+  Alcotest.(check (list string)) "trace stage spans" stages (stage_names trace)
+
 let () =
   Alcotest.run "trace"
     [ ("spans",
@@ -350,7 +387,9 @@ let () =
          Alcotest.test_case "shape invariant across jobs" `Quick
            test_shape_jobs_invariant;
          Alcotest.test_case "stage-parallel shape invariant" `Quick
-           test_stage_parallel_shape ]);
+           test_stage_parallel_shape;
+         Alcotest.test_case "stage sequence with every stage on" `Quick
+           test_stage_sequence ]);
       ("chrome",
        [ Alcotest.test_case "export parses" `Quick test_chrome_json_parses ]);
       ("provenance",
